@@ -9,7 +9,7 @@ import repro.queries.{Q, Tables}
   *
   * Calibration knobs (kernelFactor, stageOverheadS, bandwidths in
   * [[CostParams]]) are set once here so the paper's shapes hold; see
-  * DESIGN.md §5 and EXPERIMENTS.md for paper-vs-measured values.
+  * DESIGN.md §5 for the shapes and the `jobs/` mains for measured values.
   */
 object Systems {
 
@@ -77,7 +77,4 @@ object EngineRunner {
 
   def resultDf(spark: SparkSession, rr: RunResult): DataFrame =
     Rows.toDf(spark, rr.schema, rr.rows)
-
-  /** Simulated seconds of a clean (no-failure) run. */
-  def time(cfg: EngineConfig, q: Q, t: Tables): Double = run(cfg, q, t).simSeconds
 }

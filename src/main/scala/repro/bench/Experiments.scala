@@ -7,10 +7,9 @@ import repro.queries.{Q, Tables, TpchData, TpchLite}
 import scala.collection.mutable
 
 /** The paper's evaluation experiments (Figures 6-11 + Table I), computed on
-  * the simulated cluster and returned as structured rows. Bench suites
-  * assert the paper's qualitative shapes on these numbers and print them as
-  * tables; `jobs/` mains print them standalone. Paper-reported aggregates
-  * are recorded next to measured values in EXPERIMENTS.md.
+  * the simulated cluster and returned as structured rows, which the `jobs/`
+  * mains print as tables. DESIGN.md §5 lists the paper's shapes these
+  * numbers should show.
   */
 object Experiments {
 

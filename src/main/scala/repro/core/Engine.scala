@@ -88,8 +88,8 @@ private[core] final class ChannelRt(val stage: Int, val ch: Int) {
   var cursor = 0
   var join: JoinState = null
   var agg: AggState = null
-  /** Pending (seq, lineage) entries to replay after a rewind. */
-  var replay: List[(Int, LineageRec)] = Nil
+  /** Logged lineage still to replay after a rewind; the head is task `seq`. */
+  var replay: List[LineageRec] = Nil
   var stateRowsAtCkpt = 0L
   /** GCS poll gate: no consume task may launch before this time. */
   var nextPollAt = 0.0
@@ -179,7 +179,7 @@ final class Engine(
   private[core] val held = mutable.ArrayBuffer.empty[HeldTask]
   private[core] final case class HeldTask(
     stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
-    slices: Vector[(Int, Array[R])], bytes: Long, readyAt: Double, markDone: Boolean)
+    slices: Vector[(Int, Array[R])], readyAt: Double, markDone: Boolean)
 
   private[core] var barrier = false
   private var finished = false
@@ -232,22 +232,13 @@ final class Engine(
       return
     }
     if (!stageReady(ch.stage)) return
-    val stage = stageOf(ch.stage)
-    stage.op match {
-      case InputOp(_, _) =>
-        if (ch.cursor < ch.myBatches.size) launchInputTask(ch)
-      case _: JoinOp =>
-        if (pollGateOpen(ch)) pickConsume(ch).foreach { case (u, k) =>
-          ch.nextPollAt = sim.now + cost.pollIntervalS
-          launchConsumeTask(ch, u, k)
-        }
-      case _: AggOp =>
-        if (pollGateOpen(ch)) pickConsume(ch) match {
-          case Some((u, k)) =>
-            ch.nextPollAt = sim.now + cost.pollIntervalS
-            launchConsumeTask(ch, u, k)
-          case None => if (readyToFlush(ch)) launchFlushTask(ch)
-        }
+    if (!stageOf(ch.stage).stateful) {
+      if (ch.cursor < ch.myBatches.size) launchInputTask(ch)
+    } else if (pollGateOpen(ch)) pickConsume(ch) match {
+      case Some(rec) =>
+        ch.nextPollAt = sim.now + cost.pollIntervalS
+        runConsume(ch, rec, replayMode = false)
+      case None => if (ch.agg != null && readyToFlush(ch)) runFlush(ch, replayMode = false)
     }
   }
 
@@ -273,9 +264,9 @@ final class Engine(
     * StaticBatch(k) takes exactly k, or the remainder once the upstream
     * channel is done.
     */
-  private def pickConsume(ch: ChannelRt): Option[((Int, Int), Int)] = {
+  private def pickConsume(ch: ChannelRt): Option[ConsumeRec] = {
     val ups = upstreamChannels(stageOf(ch.stage))
-    cfg.batching match {
+    val pick: Option[((Int, Int), Int)] = cfg.batching match {
       case Dynamic =>
         var best: (Int, Int) = null
         var bestLen = 0
@@ -295,6 +286,7 @@ final class Engine(
           } => (u, gcs.committedCount(u) - ch.consumed.getOrElse(u, 0))
         })
     }
+    pick.map { case (u, k) => ConsumeRec(u._1, u._2, ch.consumed.getOrElse(u, 0), k) }
   }
 
   private def readyToFlush(ch: ChannelRt): Boolean =
@@ -304,8 +296,16 @@ final class Engine(
 
   // ---------------------------------------------------------------- kernels
 
-  private def runInputKernel(stage: Stage, batch: Array[R]): Array[R] =
-    stage.op.asInstanceOf[InputOp].fuse(batch)
+  /** Input task body, shared by first reads and recovery re-reads: the
+    * fused scan of one batch and its CPU cost.
+    */
+  private[core] def runInput(stage: Stage, batch: Array[R]): (Array[R], Double) = {
+    val out = stage.op.asInstanceOf[InputOp].fuse(batch)
+    val cpu = cost.taskOverheadS +
+      cost.cpuS(batch.length, cost.scanNsPerRow, cfg.kernelFactor) +
+      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
+    (out, cpu)
+  }
 
   /** Symmetric hash join step: insert each row into its side's table, probe
     * the other side. Output multiset is independent of interleaving.
@@ -355,27 +355,24 @@ final class Engine(
   // --------------------------------------------------------------- launches
 
   private def launchInputTask(ch: ChannelRt): Unit = {
-    val stage = stageOf(ch.stage)
     val bi = ch.myBatches(ch.cursor)
-    val batch = inputBatches(ch.stage)(bi)
     ch.cursor += 1
-    val out = runInputKernel(stage, batch)
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(batch.length, cost.scanNsPerRow, cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
+    val (out, cpu) = runInput(stageOf(ch.stage), inputBatches(ch.stage)(bi))
     finishTask(ch, ReadRec(bi), out, cpu, replayMode = false)
   }
 
-  private def launchConsumeTask(ch: ChannelRt, u: (Int, Int), k: Int): Unit = {
-    val stage = stageOf(ch.stage)
-    val from = ch.consumed.getOrElse(u, 0)
-    val rows = (from until from + k).toArray.flatMap { s =>
+  /** Consume task body, shared by first execution and replay: take the
+    * slices `rec` names out of the mailbox and run the stage's kernel.
+    */
+  private def runConsume(ch: ChannelRt, rec: ConsumeRec, replayMode: Boolean): Unit = {
+    val u = (rec.uStage, rec.uCh)
+    val rows = (rec.from until rec.from + rec.k).toArray.flatMap { s =>
       val slice = ch.mailbox.remove((u._1, u._2, s))
       require(slice.isDefined, s"consuming unavailable slice ($u,$s) at ${ch.id}")
       slice.get
     }
-    ch.consumed(u) = from + k
-    val (out, nsPerRow) = stage.op match {
+    ch.consumed(u) = rec.from + rec.k
+    val (out, nsPerRow) = stageOf(ch.stage).op match {
       case op: JoinOp => (runJoinKernel(ch, op, u._1, rows), cost.joinNsPerRow)
       case op: AggOp  => runAggKernel(ch, op, rows); (Array.empty[R], cost.aggNsPerRow)
       case _ => throw new IllegalStateException("input stage in consume path")
@@ -383,17 +380,17 @@ final class Engine(
     val cpu = cost.taskOverheadS +
       cost.cpuS(rows.length, nsPerRow, cfg.kernelFactor) +
       cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, ConsumeRec(u._1, u._2, from, k), out, cpu, replayMode = false)
+    finishTask(ch, rec, out, cpu, replayMode)
   }
 
-  private def launchFlushTask(ch: ChannelRt): Unit = {
-    val op = stageOf(ch.stage).op.asInstanceOf[AggOp]
-    val out = runFlushKernel(ch, op)
+  /** Flush task body, shared by first execution and replay. */
+  private def runFlush(ch: ChannelRt, replayMode: Boolean): Unit = {
+    val out = runFlushKernel(ch, stageOf(ch.stage).op.asInstanceOf[AggOp])
     ch.flushed = true
     val cpu = cost.taskOverheadS +
       cost.cpuS(ch.agg.rows, cost.aggNsPerRow, cfg.kernelFactor) +
       cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, FlushRec, out, cpu, replayMode = false)
+    finishTask(ch, FlushRec, out, cpu, replayMode)
   }
 
   /** Common task tail: charge CPU, then at CPU completion partition the
@@ -469,37 +466,15 @@ final class Engine(
       !workers(channels(plan.consumers(ch.stage).head)(d).worker).alive(sim.now)
     }
     if (deadDest && !replayMode) {
-      held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, bytes, persistEnd, markDone)
+      held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, persistEnd, markDone)
       return
     }
 
-    var lastNet = sim.now
-    if (isLast) {
-      // only the flush of the final aggregation carries the query result;
-      // its consume tasks produce no downstream output
-      if (rec == FlushRec) {
-        val netEnd = w.net.use(sim.now, cost.netS(bytes))
-        lastNet = netEnd
-        metrics.shuffleBytes += bytes
-        val rows = slices.head._2
-        sim.at(netEnd)(collectArrive(ch.ch, rows))
-      }
-    } else {
-      val consumerStage = plan.consumers(ch.stage).head
-      for ((d, rows) <- slices) {
-        val dest = channels(consumerStage)(d)
-        if (!replayMode || needsSlice(dest, ch.stage, ch.ch, mySeq)) {
-          val sbytes = rows.length.toLong * stage.schema.rowBytes
-          val netEnd =
-            if (dest.worker == ch.worker) math.max(sim.now, lastNet) + 1e-6
-            else w.net.use(sim.now, cost.netS(sbytes))
-          lastNet = math.max(lastNet, netEnd)
-          metrics.shuffleBytes += sbytes
-          val destWorkerAtSend = dest.worker
-          sim.at(netEnd)(sliceArrive(dest, destWorkerAtSend, ch.stage, ch.ch, mySeq, rows, epoch))
-        }
-      }
-    }
+    // only the flush of the final aggregation carries the query result;
+    // its consume tasks produce no downstream output
+    val lastNet =
+      if (isLast && rec != FlushRec) sim.now
+      else push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
 
     if (replayMode) {
       poke(ch)
@@ -523,8 +498,10 @@ final class Engine(
         if (becameDone) onChannelDone(ch)
         // an arrival may have been dropped against a worker that died
         // between push and delivery — committed outputs must reach their
-        // (possibly reassigned) consumers
-        ensureDelivered(ch, mySeq, rec, slices)
+        // (possibly reassigned) consumers. No-op on the normal path:
+        // arrivals always precede the commit event.
+        if (ch.stage != plan.last || rec == FlushRec)
+          push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
         // wake consumers (their inputs just became committed) and self
         if (ch.stage != plan.last)
           plan.consumers(ch.stage).foreach(cs => channels(cs).foreach(poke))
@@ -534,32 +511,44 @@ final class Engine(
     }
   }
 
-  /** Re-push any slice of a just-committed task that its consumer does not
-    * have (covers pushes dropped in the failure window). No-op on the
-    * normal path: arrivals always precede the commit event.
+  /** Send the output slices of task (ps, pc, seq) from worker `from`,
+    * starting no earlier than `start`, to every consumer that still needs
+    * them and sits on a live worker; the final stage's output goes to the
+    * head-node collector instead. A consumer on the sending worker gets its
+    * slice without using the NIC. Every first push, replay, re-read and
+    * recovery re-push goes through here. Returns the last arrival time
+    * (`start` if nothing was sent).
     */
-  private def ensureDelivered(ch: ChannelRt, mySeq: Int, rec: LineageRec,
-                              slices: Vector[(Int, Array[R])]): Unit = {
-    val stage = stageOf(ch.stage)
-    val w = workers(ch.worker)
-    if (ch.stage == plan.last) {
-      if (rec == FlushRec && collectNeeds(ch.ch)) {
+  private[core] def push(from: Int, start: Double, ps: Int, pc: Int, seq: Int,
+                         slices: Vector[(Int, Array[R])], epoch: Int): Double = {
+    val net = workers(from).net
+    val rowBytes = stageOf(ps).schema.rowBytes
+    var last = start
+    if (ps == plan.last) {
+      if (collectNeeds(pc)) {
         val rows = slices.head._2
-        val netEnd = w.net.use(sim.now, cost.netS(rows.length.toLong * stage.schema.rowBytes))
-        sim.at(netEnd)(collectArrive(ch.ch, rows))
+        val bytes = rows.length.toLong * rowBytes
+        last = net.use(start, cost.netS(bytes))
+        metrics.shuffleBytes += bytes
+        sim.at(last)(collectArrive(pc, rows))
       }
     } else {
-      val consumerStage = plan.consumers(ch.stage).head
+      val consumerStage = plan.consumers(ps).head
       for ((d, rows) <- slices) {
         val dest = channels(consumerStage)(d)
-        if (needsSlice(dest, ch.stage, ch.ch, mySeq) && workers(dest.worker).alive(sim.now)) {
-          val sbytes = rows.length.toLong * stage.schema.rowBytes
-          val netEnd = w.net.use(sim.now, cost.netS(sbytes))
+        if (needsSlice(dest, ps, pc, seq) && workers(dest.worker).alive(sim.now)) {
+          val bytes = rows.length.toLong * rowBytes
+          val arrive =
+            if (dest.worker == from) math.max(start, last) + 1e-6
+            else net.use(start, cost.netS(bytes))
+          last = math.max(last, arrive)
+          metrics.shuffleBytes += bytes
           val sentTo = dest.worker
-          sim.at(netEnd)(sliceArrive(dest, sentTo, ch.stage, ch.ch, mySeq, rows, ch.epoch))
+          sim.at(arrive)(sliceArrive(dest, sentTo, ps, pc, seq, rows, epoch))
         }
       }
     }
+    last
   }
 
   /** A destination still needs (prodStage, prodCh, seq) iff it has not
@@ -597,35 +586,17 @@ final class Engine(
     * supplies the exact lineage, so the channel "retraces its footsteps"
     * instead of choosing inputs dynamically (paper §IV-C).
     */
-  private def tryReplay(ch: ChannelRt): Unit = {
-    val (mySeq, rec) = ch.replay.head
-    val stage = stageOf(ch.stage)
-    rec match {
-      case ConsumeRec(us, uc, from, k) =>
-        val have = (from until from + k).forall(s => ch.mailbox.contains((us, uc, s)))
-        if (!have) return
+  private def tryReplay(ch: ChannelRt): Unit = ch.replay.head match {
+    case rec @ ConsumeRec(us, uc, from, k) =>
+      if ((from until from + k).forall(s => ch.mailbox.contains((us, uc, s)))) {
         ch.replay = ch.replay.tail
-        val rows = (from until from + k).toArray.flatMap(s => ch.mailbox.remove((us, uc, s)).get)
-        ch.consumed((us, uc)) = from + k
-        val (out, nsPerRow) = stage.op match {
-          case op: JoinOp => (runJoinKernel(ch, op, us, rows), cost.joinNsPerRow)
-          case op: AggOp  => runAggKernel(ch, op, rows); (Array.empty[R], cost.aggNsPerRow)
-          case _ => throw new IllegalStateException("input stage cannot replay ConsumeRec")
-        }
-        val cpu = cost.taskOverheadS +
-          cost.cpuS(rows.length, nsPerRow, cfg.kernelFactor) +
-          cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-        finishTask(ch, rec, out, cpu, replayMode = true)
-      case FlushRec =>
-        ch.replay = ch.replay.tail
-        val op = stage.op.asInstanceOf[AggOp]
-        val out = runFlushKernel(ch, op)
-        ch.flushed = true
-        val cpu = cost.taskOverheadS + cost.cpuS(ch.agg.rows, cost.aggNsPerRow, cfg.kernelFactor)
-        finishTask(ch, rec, out, cpu, replayMode = true)
-      case ReadRec(_) =>
-        throw new IllegalStateException("input channels replay via re-read jobs, not the channel")
-    }
+        runConsume(ch, rec, replayMode = true)
+      }
+    case FlushRec =>
+      ch.replay = ch.replay.tail
+      runFlush(ch, replayMode = true)
+    case ReadRec(_) =>
+      throw new IllegalStateException("input channels replay via re-read jobs, not the channel")
   }
 
   // --------------------------------------------------------------- doneness

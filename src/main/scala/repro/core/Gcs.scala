@@ -102,10 +102,4 @@ final class Gcs {
     done += ch
     became
   }
-
-  /** Recovery bookkeeping: forget doneness is never needed (rewound channels
-    * were never done — a done channel's outputs are all committed and its
-    * replay does not change doneness).
-    */
-  def snapshotCommitted: Map[Ch, Int] = committed.toMap
 }

@@ -70,17 +70,14 @@ object Recovery {
           dch.mailbox.remove((ch.stage, ch.ch, s))
         s += 1
       }
-      e.plan.stages(ch.stage).op match {
-        case _: InputOp =>
-          // stateless: committed reads are recovered data-parallel below;
-          // the channel itself resumes with its remaining batches
-          ch.cursor = cc; ch.seq = cc; ch.replay = Nil
-        case _: JoinOp =>
-          ch.join = new JoinState; ch.seq = 0
-          ch.replay = (0 until cc).map(s => (s, e.gcs.rec(ch.stage, ch.ch, s))).toList
-        case _: AggOp =>
-          ch.agg = new AggState; ch.seq = 0
-          ch.replay = (0 until cc).map(s => (s, e.gcs.rec(ch.stage, ch.ch, s))).toList
+      if (!e.plan.stages(ch.stage).stateful) {
+        // stateless: committed reads are recovered data-parallel below;
+        // the channel itself resumes with its remaining batches
+        ch.cursor = cc; ch.seq = cc; ch.replay = Nil
+      } else {
+        if (ch.join != null) ch.join = new JoinState else ch.agg = new AggState
+        ch.seq = 0
+        ch.replay = e.gcs.channelLog(ch.id).toList
       }
     }
 
@@ -89,7 +86,7 @@ object Recovery {
     // upstream outputs (their arrived copies died with the worker's mailbox)
     val needed = mutable.LinkedHashSet.empty[(Int, Int, Int)]
     for (ch <- rewound) {
-      for ((_, rec) <- ch.replay) rec match {
+      for (rec <- ch.replay) rec match {
         case ConsumeRec(us, uc, from, k) =>
           var i = from
           while (i < from + k) { needed += ((us, uc, i)); i += 1 }
@@ -118,7 +115,7 @@ object Recovery {
               // lost together with its stateful producer: regenerated by the
               // producer's own replay (it is necessarily in the rewound set)
               val prod = e.channels(us)(uc)
-              require(prod.replay.exists(_._1 == s),
+              require(s >= prod.seq && s < prod.seq + prod.replay.size,
                 s"partition $p unrecoverable: no backup, producer not replaying")
           }
       }
@@ -132,21 +129,10 @@ object Recovery {
     */
   private def scheduleRePush(e: Engine, owner: Int, p: (Int, Int, Int),
                              slices: Vector[(Int, Array[R])], bytes: Long): Unit = {
-    import e.cfg.cost
     val (us, uc, s) = p
     e.metrics.repushJobs += 1
-    val w = e.workers(owner)
-    val consumerStage = e.plan.consumers(us).head
-    val dEnd = w.disk.use(e.sim.now, cost.diskS(bytes))
-    for ((d, rows) <- slices) {
-      val dest = e.channels(consumerStage)(d)
-      if (e.needsSlice(dest, us, uc, s)) {
-        val sbytes = rows.length.toLong * e.plan.stages(us).schema.rowBytes
-        val netEnd = w.net.use(dEnd, cost.netS(sbytes))
-        val sentTo = dest.worker
-        e.sim.at(netEnd)(e.sliceArrive(dest, sentTo, us, uc, s, rows, e.channels(us)(uc).epoch))
-      }
-    }
+    val dEnd = e.workers(owner).disk.use(e.sim.now, e.cfg.cost.diskS(bytes))
+    e.push(owner, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
   }
 
   /** Fetch a spooled partition from the reliable store directly to each
@@ -181,8 +167,7 @@ object Recovery {
       case ReadRec(b) => b
       case other => throw new IllegalStateException(s"input lineage of $p is $other")
     }
-    val batch = e.inputBatches(us)(batchIdx)
-    val out = stage.op.asInstanceOf[InputOp].fuse(batch)
+    val (out, cpu) = e.runInput(stage, e.inputBatches(us)(batchIdx))
     val h = Rows.multisetHash(out)
     e.outputHash.get(p).foreach { prev =>
       if (prev != h) throw new IllegalStateException(s"re-read divergence at $p")
@@ -190,9 +175,6 @@ object Recovery {
     val slices = e.sliceUp(stage, out)
     val bytes = out.length.toLong * stage.schema.rowBytes
     val w = e.workers(worker)
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(batch.length, cost.scanNsPerRow, e.cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, e.cfg.kernelFactor)
     val cpuEnd = w.cpu.use(e.sim.now, cpu)
     e.sim.at(cpuEnd) {
       if (e.workers(worker).alive(e.sim.now)) {
@@ -200,16 +182,7 @@ object Recovery {
           e.backups(p) = (worker, slices, bytes)
           w.disk.use(e.sim.now, cost.diskS(bytes))
         } else e.sim.now
-        val consumerStage = e.plan.consumers(us).head
-        for ((d, rows) <- slices) {
-          val dest = e.channels(consumerStage)(d)
-          if (e.needsSlice(dest, us, uc, s)) {
-            val sbytes = rows.length.toLong * stage.schema.rowBytes
-            val netEnd = w.net.use(dEnd, cost.netS(sbytes))
-            val sentTo = dest.worker
-            e.sim.at(netEnd)(e.sliceArrive(dest, sentTo, us, uc, s, rows, e.channels(us)(uc).epoch))
-          }
-        }
+        e.push(worker, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
       }
     }
   }
@@ -223,19 +196,7 @@ object Recovery {
     for (h <- e.held) {
       val ch = e.channels(h.stage)(h.ch)
       if (ch.epoch == h.epoch && e.workers(ch.worker).alive(now)) {
-        val w = e.workers(ch.worker)
-        val consumerStage = e.plan.consumers(h.stage).head
-        var lastNet = now
-        for ((d, rows) <- h.slices) {
-          val dest = e.channels(consumerStage)(d)
-          if (e.needsSlice(dest, h.stage, h.ch, h.seq)) {
-            val sbytes = rows.length.toLong * e.plan.stages(h.stage).schema.rowBytes
-            val netEnd = w.net.use(now, cost.netS(sbytes))
-            lastNet = math.max(lastNet, netEnd)
-            val sentTo = dest.worker
-            e.sim.at(netEnd)(e.sliceArrive(dest, sentTo, h.stage, h.ch, h.seq, rows, ch.epoch))
-          }
-        }
+        val lastNet = e.push(ch.worker, now, h.stage, h.ch, h.seq, h.slices, ch.epoch)
         val gcsLat = if (e.cfg.staticLineage) 0.0 else cost.gcsTxnS
         e.scheduleCommit(ch, ch.epoch, h.seq, h.rec, h.markDone, h.slices,
           math.max(lastNet, h.readyAt) + gcsLat)

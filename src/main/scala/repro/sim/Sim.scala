@@ -79,6 +79,4 @@ final class Slots(val k: Int) {
     free(best) = start + dur
     free(best)
   }
-
-  def earliestFree: Double = free.min
 }

@@ -1,0 +1,68 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Rows.R
+
+/** `Engine.push`, the one path by which task outputs reach their
+  * consumers, on a two-stage plan (scan -> agg) whose agg channel c sits
+  * on worker c.
+  */
+class PushSpec extends AnyFunSuite {
+  private val sch = Sch.of("k" -> CLong, "v" -> CLong)
+
+  private def engine(workers: Int): Engine = {
+    val b = new PlanBuilder("push")
+    val s = b.input("a", sch)(identity)
+    b.agg(s, r => r(0), r => Vector(r(0)), 1, sch)((acc, r) => acc(0) += Rows.lng(r, 1))(
+      (k, a) => Array[Any](k(0), a(0)))
+    val rows: Array[R] = Array(Array[Any](1L, 1L))
+    new Engine(EngineConfig(workers), b.build(), Map("a" -> rows))
+  }
+
+  /** One row for each of the first two agg channels. */
+  private val slices: Vector[(Int, Array[R])] =
+    Vector(0 -> Array[R](Array[Any](0L, 1L)), 1 -> Array[R](Array[Any](1L, 2L)))
+
+  test("slices already consumed or already in a mailbox are not sent") {
+    val e = engine(2)
+    val Vector(d0, d1) = e.channels(1)
+    d0.consumed((0, 0)) = 1
+    d1.mailbox((0, 0, 0)) = slices(1)._2
+    val net = e.workers(0).net.freeAt
+    assert(e.push(0, 2.0, 0, 0, 0, slices, epoch = 0) == 2.0)
+    assert(e.sim.pendingEvents == 0)
+    assert(e.workers(0).net.freeAt == net)
+    assert(e.metrics.shuffleBytes == 0)
+  }
+
+  test("a consumer on the sending worker gets its slice without the NIC") {
+    val e = engine(2)
+    e.channels(1)(1).mailbox((0, 0, 0)) = slices(1)._2
+    val net = e.workers(0).net.freeAt
+    assert(e.push(0, 2.0, 0, 0, 0, slices, epoch = 0) == 2.0 + 1e-6)
+    assert(e.workers(0).net.freeAt == net)
+    assert(e.metrics.shuffleBytes == sch.rowBytes)
+    e.sim.run()
+    assert(e.channels(1)(0).mailbox.contains((0, 0, 0)))
+  }
+
+  test("a consumer on a dead worker is skipped") {
+    val e = engine(2)
+    e.workers(1).deadAt = 0.0
+    e.push(0, 0.0, 0, 0, 0, slices, epoch = 0)
+    assert(e.sim.pendingEvents == 1) // only the same-worker slice to channel 0
+    assert(e.metrics.shuffleBytes == sch.rowBytes)
+    e.sim.run()
+    assert(!e.channels(1)(1).mailbox.contains((0, 0, 0)))
+  }
+
+  test("returns the last arrival time") {
+    val e = engine(3)
+    // channels 0 and 1 are remote to worker 2: both slices use its NIC
+    val last = e.push(2, 1.0, 0, 2, 0, slices, epoch = 0)
+    assert(last == e.workers(2).net.freeAt && last > 1.0)
+    e.sim.run()
+    assert(e.sim.now == last)
+    assert(e.channels(1)(0).mailbox.contains((0, 2, 0)) && e.channels(1)(1).mailbox.contains((0, 2, 0)))
+  }
+}

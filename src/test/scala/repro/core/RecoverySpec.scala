@@ -101,6 +101,47 @@ class RecoverySpec extends SparkSpec {
     }
   }
 
+  test("failure runs are deterministic: identical clock, counters, txns and rows (q9, WAL)") {
+    val q = TpchLite.q9
+    val killAt = clean(base, q).simSeconds * 0.5
+    val Seq(a, b) = Seq.fill(2)(EngineRunner.run(base, q, t, failures = Seq((1, killAt))))
+    def counters(m: Metrics): Map[String, Any] =
+      classOf[Metrics].getDeclaredFields.toSeq.map { f => f.setAccessible(true); f.getName -> f.get(m) }.toMap
+    assert(a.metrics.rewoundChannels > 0, "no recovery happened")
+    assert(a.simSeconds == b.simSeconds)
+    assert(counters(a.metrics) == counters(b.metrics))
+    assert(a.gcsTxns == b.gcsTxns)
+    assert(a.rows.map(_.toSeq) == b.rows.map(_.toSeq))
+  }
+
+  test("a flush committed before the failure is replayed (q3, WAL)") {
+    // two final-stage channels per worker, so the victim can hold one that
+    // has flushed and one that has not: the query then waits for recovery
+    val cfg = base.copy(channelsPerWorker = 2)
+    val q = TpchLite.q3
+    val victim = 1
+    def flushedOnVictim(e: Engine): Vector[Int] = e.channels(e.plan.last)
+      .filter(ch => ch.worker == victim && e.gcs.channelDone(ch.id)).map(_.ch)
+    // kill at the first instant a final-stage channel of the victim is done
+    val probe = new Engine(cfg, q.mkPlan(t), t.rows)
+    var killAt = Double.NaN
+    def watch(): Unit =
+      if (flushedOnVictim(probe).nonEmpty) killAt = probe.sim.now
+      else probe.sim.after(1e-4)(watch())
+    probe.sim.at(0.0)(watch())
+    val ref = probe.run()
+    val e = new Engine(cfg, q.mkPlan(t), t.rows, Seq((victim, killAt)))
+    var atKill = Vector.empty[Int]
+    e.sim.at(killAt) { atKill = flushedOnVictim(e) }
+    val rr = e.run()
+    assert(atKill.nonEmpty && killAt < ref.simSeconds, "no flush committed before the kill")
+    assert(TestUtil.canon(rr.rows) == TestUtil.canon(ref.rows))
+    for (c <- atKill) {
+      val ch = e.channels(e.plan.last)(c)
+      assert(ch.worker != victim && ch.flushed && ch.replay.isEmpty, s"channel $c did not replay its flush")
+    }
+  }
+
   test("recovery keeps the committed-lineage-only invariant observable") {
     // lineage bytes after a failure run are >= the clean run's: replay never
     // uncommits, and re-executed suffix tasks commit again
