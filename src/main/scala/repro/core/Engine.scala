@@ -190,6 +190,8 @@ final class Engine(
     cfg.mode == Pipelined || plan.stages(s).upstreams.isEmpty)
   private val stageDoneCount = Array.fill(plan.stages.size)(0)
   private[core] val rng = new scala.util.Random(cfg.seed)
+  /** GCS latency of a lineage commit; static lineage is known up front. */
+  private[core] val commitLatS: Double = if (cfg.staticLineage) 0.0 else cost.gcsTxnS
 
   // ---------------------------------------------------------------- helpers
 
@@ -290,7 +292,11 @@ final class Engine(
   }
 
   private def readyToFlush(ch: ChannelRt): Boolean =
-    !ch.flushed && upstreamChannels(stageOf(ch.stage)).forall { u =>
+    !ch.flushed && upstreamsDrained(ch)
+
+  /** Every upstream channel is done and `ch` has consumed all it committed. */
+  private def upstreamsDrained(ch: ChannelRt): Boolean =
+    upstreamChannels(stageOf(ch.stage)).forall { u =>
       gcs.channelDone(u) && ch.consumed.getOrElse(u, 0) == gcs.committedCount(u)
     }
 
@@ -481,8 +487,7 @@ final class Engine(
       return // lineage already committed before the failure
     }
 
-    val gcsLat = if (cfg.staticLineage) 0.0 else cost.gcsTxnS
-    val commitAt = math.max(persistEnd, lastNet) + gcsLat
+    val commitAt = math.max(persistEnd, lastNet) + commitLatS
     scheduleCommit(ch, epoch, mySeq, rec, markDone, slices, commitAt)
   }
 
@@ -608,10 +613,7 @@ final class Engine(
       case _: InputOp => // done is marked by the last commit
       case _: JoinOp =>
         val complete = !ch.busy && ch.replay.isEmpty &&
-          gcs.committedCount(ch.id) == ch.seq &&
-          upstreamChannels(stage).forall { u =>
-            gcs.channelDone(u) && ch.consumed.getOrElse(u, 0) == gcs.committedCount(u)
-          }
+          gcs.committedCount(ch.id) == ch.seq && upstreamsDrained(ch)
         if (complete && gcs.markDone(ch.id)) onChannelDone(ch)
       case _: AggOp => // done is marked by the flush commit
     }

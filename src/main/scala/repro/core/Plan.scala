@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.core.Rows.R
+import scala.collection.mutable
 
 /** Physical operators of the pipelined engine (paper Fig 1 / §IV-A).
   *
@@ -87,11 +88,60 @@ final case class Plan(stages: Vector[Stage], name: String) {
 final class PlanBuilder(val name: String) {
   private final case class Pending(
     op: StageOp, upstreams: Vector[Int], schema: Sch, var outKey: R => Any)
-  private val buf = scala.collection.mutable.ArrayBuffer.empty[Pending]
+  private val buf = mutable.ArrayBuffer.empty[Pending]
 
   def input(table: String, schema: Sch)(fuse: Array[R] => Array[R]): Int = {
     buf += Pending(InputOp(table, fuse), Vector.empty, schema, null)
     buf.size - 1
+  }
+
+  /** Input stage that keeps the columns `cols` of the rows of `table` that
+    * pass `keep`. Names and types come from the table's schema `src`; values
+    * are copied through an index array computed once, here.
+    */
+  def scan(table: String, src: Sch, cols: String*)(keep: R => Boolean): Int = {
+    val from = cols.map(src.idx).toArray
+    input(table, Sch(from.toVector.map(src.cols)))(PlanBuilder.filterProject(keep, { r =>
+      val o = new Array[Any](from.length)
+      var j = 0
+      while (j < from.length) { o(j) = PlanBuilder.rebox(r(from(j))); j += 1 }
+      o
+    }))
+  }
+
+  /** Equi-join of `left` and `right` on the named key columns
+    * `on = (leftKey, rightKey)`, keeping the columns `cols`. Each output
+    * column comes from the one side that has it; a name on both sides or on
+    * neither fails here, when the plan is built.
+    */
+  def joinOn(left: Int, right: Int, on: (String, String), cols: String*): Int = {
+    val (ls, rs) = (buf(left).schema, buf(right).schema)
+    val (lk, rk) = (ls.idx(on._1), rs.idx(on._2))
+    val sides = cols.toArray.map { n =>
+      (ls.names.contains(n), rs.names.contains(n)) match {
+        case (true, false) => (true, ls.idx(n))
+        case (false, true) => (false, rs.idx(n))
+        case (both, _) => throw new IllegalArgumentException(
+          s"join column $n is on ${if (both) "both sides" else "neither side"} in plan $name")
+      }
+    }
+    val fromLeft = sides.map(_._1)
+    val from = sides.map(_._2)
+    val schema = Sch(sides.toVector.map { case (l, i) => if (l) ls.cols(i) else rs.cols(i) })
+    // a side kept whole and in order is passed on as is: rows are never mutated
+    val emit: (R, R) => R =
+      if (schema == ls) (l, _) => l
+      else if (schema == rs) (_, r) => r
+      else { (l, r) =>
+        val o = new Array[Any](from.length)
+        var j = 0
+        while (j < from.length) {
+          o(j) = PlanBuilder.rebox(if (fromLeft(j)) l(from(j)) else r(from(j)))
+          j += 1
+        }
+        o
+      }
+    join(left, right, r => r(lk), r => r(rk), schema)(emit)
   }
 
   def join(left: Int, right: Int, lKey: R => Any, rKey: R => Any,
@@ -117,4 +167,26 @@ final class PlanBuilder(val name: String) {
     Plan(buf.toVector.zipWithIndex.map { case (p, i) =>
       Stage(i, p.op, p.upstreams, p.schema, p.outKey)
     }, name)
+}
+
+object PlanBuilder {
+  /** Input kernel that maps the rows passing `keep` through `project`. */
+  def filterProject(keep: R => Boolean, project: R => R): Array[R] => Array[R] =
+    batch => {
+      val out = mutable.ArrayBuffer.empty[R]
+      var i = 0
+      while (i < batch.length) { val r = batch(i); if (keep(r)) out += project(r); i += 1 }
+      out.toArray
+    }
+
+  /** A new box holding `v`'s value. A copied row gets its own boxes, as a
+    * row built by hand (`Array[Any](lng(r, i), ..)`) does, so its values are
+    * allocated next to it: rows sharing the boxes of wide table rows made
+    * the downstream hash, probe and output-hash steps measurably slower.
+    */
+  private def rebox(v: Any): Any = v match {
+    case l: java.lang.Long   => java.lang.Long.valueOf(l.longValue)
+    case d: java.lang.Double => java.lang.Double.valueOf(d.doubleValue)
+    case other               => other
+  }
 }

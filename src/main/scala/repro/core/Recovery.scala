@@ -191,15 +191,13 @@ object Recovery {
     * re-push their stored output to the reassigned channels and commit.
     */
   private def resolveHeld(e: Engine): Unit = {
-    import e.cfg.cost
     val now = e.sim.now
     for (h <- e.held) {
       val ch = e.channels(h.stage)(h.ch)
       if (ch.epoch == h.epoch && e.workers(ch.worker).alive(now)) {
         val lastNet = e.push(ch.worker, now, h.stage, h.ch, h.seq, h.slices, ch.epoch)
-        val gcsLat = if (e.cfg.staticLineage) 0.0 else cost.gcsTxnS
         e.scheduleCommit(ch, ch.epoch, h.seq, h.rec, h.markDone, h.slices,
-          math.max(lastNet, h.readyAt) + gcsLat)
+          math.max(lastNet, h.readyAt) + e.commitLatS)
       }
     }
     e.held.clear()

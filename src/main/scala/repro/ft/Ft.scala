@@ -12,7 +12,6 @@ sealed trait Ft {
   def lineage: Boolean
   /** Task outputs backed up unreliably on producer-local disk (Spark, Quokka). */
   def upstreamBackup: Boolean
-  def label: String
 }
 
 /** No intra-query fault tolerance: a failure restarts the whole query
@@ -21,7 +20,7 @@ sealed trait Ft {
   */
 case object NoFt extends Ft {
   val spooling = false; val stateCheckpoint = false; val lineage = false
-  val upstreamBackup = false; val label = "none"
+  val upstreamBackup = false
 }
 
 /** Write-ahead lineage (the paper's contribution): dynamically determined
@@ -31,7 +30,7 @@ case object NoFt extends Ft {
   */
 case object Wal extends Ft {
   val spooling = false; val stateCheckpoint = false; val lineage = true
-  val upstreamBackup = true; val label = "write-ahead lineage"
+  val upstreamBackup = true
 }
 
 /** Spooling: every shuffle partition is durably written to the reliable
@@ -41,7 +40,7 @@ case object Wal extends Ft {
   */
 case object Spool extends Ft {
   val spooling = true; val stateCheckpoint = false; val lineage = true
-  val upstreamBackup = false; val label = "spooling"
+  val upstreamBackup = false
 }
 
 /** Periodic state checkpointing on top of write-ahead logging of outputs.
@@ -52,7 +51,6 @@ case object Spool extends Ft {
 final case class Ckpt(intervalS: Double, incremental: Boolean) extends Ft {
   val spooling = false; val stateCheckpoint = true; val lineage = true
   val upstreamBackup = true
-  val label = s"checkpoint(${intervalS}s,${if (incremental) "incr" else "full"})"
 }
 
 /** One row of the paper's Table I. */

@@ -7,9 +7,7 @@ import repro.core.Rows.{R, dbl, lng, str, year}
 import scala.collection.mutable
 
 /** All ingested tables of one scale factor. */
-final case class Tables(sch: Map[String, Sch], rows: Map[String, Array[R]]) {
-  def idx(table: String, col: String): Int = sch(table).idx(col)
-}
+final case class Tables(sch: Map[String, Sch], rows: Map[String, Array[R]])
 
 /** Loads and caches the TPC-H-lite tables as engine rows. The DuckDB oracle
   * and the SparkSQL baseline are fed from the *same* ingested rows (via
@@ -60,19 +58,21 @@ final case class Q(
   * synthetic domain are noted per query; join trees, filters and aggregate
   * structure follow the TPC-H originals, with ORDER BY/LIMIT dropped
   * (results are compared as sorted multisets).
+  *
+  * A scan or join that only selects columns is a [[PlanBuilder.scan]] or
+  * [[PlanBuilder.joinOn]], which state its columns once, by name. The rest
+  * stay hand-written `input`/`join` stages because a name list cannot say
+  * what they do: scans that compute a value (the `rev4` revenue, a `year`,
+  * `c2` cents, a flag) or pre-aggregate (Q1, Q6), and joins that apply a
+  * residual predicate (Q5, Q7, Q19), compute a value (Q14) or use a
+  * composite key (Q9's partsupp join). Intermediate columns keep their
+  * source names; only the final aggregation names the result columns.
   */
 object TpchLite {
   import Money.{c2, charge6, rev4}
+  import PlanBuilder.filterProject
 
   private def S(cols: (String, ColType)*): Sch = Sch.of(cols: _*)
-
-  private def filterProject(f: R => Boolean, p: R => R): Array[R] => Array[R] =
-    batch => {
-      val out = mutable.ArrayBuffer.empty[R]
-      var i = 0
-      while (i < batch.length) { val r = batch(i); if (f(r)) out += p(r); i += 1 }
-      out.toArray
-    }
 
   /** Simple sum-aggregation stage: group by `keyIdx` columns, sum the Long
     * columns `accIdx`.
@@ -180,27 +180,17 @@ object TpchLite {
       |GROUP BY l_orderkey, o_orderdate""".stripMargin,
     mkPlan = { t =>
       val Cu = t.sch("customer"); val O = t.sch("orders"); val L = t.sch("lineitem")
+      val (seg, odate) = (Cu.idx("c_mktsegment"), O.idx("o_orderdate"))
       val b = new PlanBuilder("q3")
-      val cu = b.input("customer", S("c_custkey" -> CLong))(filterProject(
-        r => str(r, Cu.idx("c_mktsegment")) == "BUILDING",
-        r => Array[Any](lng(r, Cu.idx("c_custkey")))))
-      val od = b.input("orders", S("o_orderkey" -> CLong, "o_custkey" -> CLong, "o_orderdate" -> CString))(
-        filterProject(
-          r => str(r, O.idx("o_orderdate")) < "1995-03-15",
-          r => Array[Any](lng(r, O.idx("o_orderkey")), lng(r, O.idx("o_custkey")),
-            str(r, O.idx("o_orderdate")))))
-      val j1 = b.join(cu, od, r => lng(r, 0), r => lng(r, 1),
-        S("o_orderkey" -> CLong, "o_orderdate" -> CString)) { (_, o) =>
-        Array[Any](lng(o, 0), str(o, 2))
-      }
+      val cu = b.scan("customer", Cu, "c_custkey")(r => str(r, seg) == "BUILDING")
+      val od = b.scan("orders", O, "o_orderkey", "o_custkey", "o_orderdate")(
+        r => str(r, odate) < "1995-03-15")
+      val j1 = b.joinOn(cu, od, "c_custkey" -> "o_custkey", "o_orderkey", "o_orderdate")
       val li = b.input("lineitem", S("l_orderkey" -> CLong, "rev" -> CLong))(filterProject(
         r => str(r, L.idx("l_shipdate")) > "1995-03-15",
         r => Array[Any](lng(r, L.idx("l_orderkey")),
           rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val j2 = b.join(j1, li, r => lng(r, 0), r => lng(r, 0),
-        S("l_orderkey" -> CLong, "o_orderdate" -> CString, "rev" -> CLong)) { (a, l) =>
-        Array[Any](lng(l, 0), str(a, 1), lng(l, 1))
-      }
+      val j2 = b.joinOn(j1, li, "o_orderkey" -> "l_orderkey", "l_orderkey", "o_orderdate", "rev")
       sumAgg(b, j2, Vector(0, 1), Vector(2),
         S("l_orderkey" -> CLong, "o_orderdate" -> CString, "revenue" -> CDouble)) { (k, a) =>
         Array[Any](k(0), k(1), a(0).toDouble / 1e4)
@@ -221,32 +211,21 @@ object TpchLite {
     mkPlan = { t =>
       val Cu = t.sch("customer"); val O = t.sch("orders")
       val L = t.sch("lineitem"); val N = t.sch("nation")
+      val odate = O.idx("o_orderdate")
       val b = new PlanBuilder("q10")
       val li = b.input("lineitem", S("l_orderkey" -> CLong, "rev" -> CLong))(filterProject(
         r => str(r, L.idx("l_returnflag")) == "R",
         r => Array[Any](lng(r, L.idx("l_orderkey")),
           rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val od = b.input("orders", S("o_orderkey" -> CLong, "o_custkey" -> CLong))(filterProject(
-        r => { val d = str(r, O.idx("o_orderdate")); d >= "1993-10-01" && d < "1994-01-01" },
-        r => Array[Any](lng(r, O.idx("o_orderkey")), lng(r, O.idx("o_custkey")))))
-      val j1 = b.join(od, li, r => lng(r, 0), r => lng(r, 0),
-        S("o_custkey" -> CLong, "rev" -> CLong)) { (o, l) =>
-        Array[Any](lng(o, 1), lng(l, 1))
-      }
-      val cu = b.input("customer", S("c_custkey" -> CLong, "c_nationkey" -> CLong, "c_acctbal" -> CDouble))(
-        filterProject(_ => true, r => Array[Any](lng(r, Cu.idx("c_custkey")),
-          lng(r, Cu.idx("c_nationkey")), dbl(r, Cu.idx("c_acctbal")))))
-      val j2 = b.join(j1, cu, r => lng(r, 0), r => lng(r, 0),
-        S("c_custkey" -> CLong, "c_nationkey" -> CLong, "c_acctbal" -> CDouble, "rev" -> CLong)) {
-        (a, c) => Array[Any](lng(c, 0), lng(c, 1), dbl(c, 2), lng(a, 1))
-      }
-      val na = b.input("nation", S("n_nationkey" -> CLong, "n_name" -> CString))(
-        filterProject(_ => true,
-          r => Array[Any](lng(r, N.idx("n_nationkey")), str(r, N.idx("n_name")))))
-      val j3 = b.join(j2, na, r => lng(r, 1), r => lng(r, 0),
-        S("c_custkey" -> CLong, "n_name" -> CString, "c_acctbal" -> CDouble, "rev" -> CLong)) {
-        (a, n) => Array[Any](lng(a, 0), str(n, 1), dbl(a, 2), lng(a, 3))
-      }
+      val od = b.scan("orders", O, "o_orderkey", "o_custkey")(
+        r => { val d = str(r, odate); d >= "1993-10-01" && d < "1994-01-01" })
+      val j1 = b.joinOn(od, li, "o_orderkey" -> "l_orderkey", "o_custkey", "rev")
+      val cu = b.scan("customer", Cu, "c_custkey", "c_nationkey", "c_acctbal")(_ => true)
+      val j2 = b.joinOn(j1, cu, "o_custkey" -> "c_custkey",
+        "c_custkey", "c_nationkey", "c_acctbal", "rev")
+      val na = b.scan("nation", N, "n_nationkey", "n_name")(_ => true)
+      val j3 = b.joinOn(j2, na, "c_nationkey" -> "n_nationkey",
+        "c_custkey", "n_name", "c_acctbal", "rev")
       sumAgg(b, j3, Vector(0, 1, 2), Vector(3),
         S("c_custkey" -> CLong, "n_name" -> CString, "c_acctbal" -> CDouble, "revenue" -> CDouble)) {
         (k, a) => Array[Any](k(0), k(1), k(2), a(0).toDouble / 1e4)
@@ -267,42 +246,23 @@ object TpchLite {
     mkPlan = { t =>
       val Cu = t.sch("customer"); val O = t.sch("orders"); val L = t.sch("lineitem")
       val Su = t.sch("supplier"); val N = t.sch("nation"); val Re = t.sch("region")
+      val (rname, odate) = (Re.idx("r_name"), O.idx("o_orderdate"))
       val b = new PlanBuilder("q5")
-      val re = b.input("region", S("r_regionkey" -> CLong))(filterProject(
-        r => str(r, Re.idx("r_name")) == "REGION_2",
-        r => Array[Any](lng(r, Re.idx("r_regionkey")))))
-      val na = b.input("nation", S("n_nationkey" -> CLong, "n_name" -> CString, "n_regionkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, N.idx("n_nationkey")),
-          str(r, N.idx("n_name")), lng(r, N.idx("n_regionkey")))))
-      val j1 = b.join(re, na, r => lng(r, 0), r => lng(r, 2),
-        S("n_nationkey" -> CLong, "n_name" -> CString)) { (_, n) =>
-        Array[Any](lng(n, 0), str(n, 1))
-      }
-      val cu = b.input("customer", S("c_custkey" -> CLong, "c_nationkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Cu.idx("c_custkey")),
-          lng(r, Cu.idx("c_nationkey")))))
-      val j2 = b.join(j1, cu, r => lng(r, 0), r => lng(r, 1),
-        S("c_custkey" -> CLong, "n_nationkey" -> CLong, "n_name" -> CString)) { (n, c) =>
-        Array[Any](lng(c, 0), lng(n, 0), str(n, 1))
-      }
-      val od = b.input("orders", S("o_orderkey" -> CLong, "o_custkey" -> CLong))(filterProject(
-        r => { val d = str(r, O.idx("o_orderdate")); d >= "1994-01-01" && d < "1995-01-01" },
-        r => Array[Any](lng(r, O.idx("o_orderkey")), lng(r, O.idx("o_custkey")))))
-      val j3 = b.join(j2, od, r => lng(r, 0), r => lng(r, 1),
-        S("o_orderkey" -> CLong, "n_nationkey" -> CLong, "n_name" -> CString)) { (a, o) =>
-        Array[Any](lng(o, 0), lng(a, 1), str(a, 2))
-      }
+      val re = b.scan("region", Re, "r_regionkey")(r => str(r, rname) == "REGION_2")
+      val na = b.scan("nation", N, "n_nationkey", "n_name", "n_regionkey")(_ => true)
+      val j1 = b.joinOn(re, na, "r_regionkey" -> "n_regionkey", "n_nationkey", "n_name")
+      val cu = b.scan("customer", Cu, "c_custkey", "c_nationkey")(_ => true)
+      val j2 = b.joinOn(j1, cu, "n_nationkey" -> "c_nationkey", "c_custkey", "n_nationkey", "n_name")
+      val od = b.scan("orders", O, "o_orderkey", "o_custkey")(
+        r => { val d = str(r, odate); d >= "1994-01-01" && d < "1995-01-01" })
+      val j3 = b.joinOn(j2, od, "c_custkey" -> "o_custkey", "o_orderkey", "n_nationkey", "n_name")
       val li = b.input("lineitem", S("l_orderkey" -> CLong, "l_suppkey" -> CLong, "rev" -> CLong))(
         filterProject(_ => true, r => Array[Any](lng(r, L.idx("l_orderkey")),
           lng(r, L.idx("l_suppkey")),
           rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val j4 = b.join(j3, li, r => lng(r, 0), r => lng(r, 0),
-        S("l_suppkey" -> CLong, "n_nationkey" -> CLong, "n_name" -> CString, "rev" -> CLong)) {
-        (a, l) => Array[Any](lng(l, 1), lng(a, 1), str(a, 2), lng(l, 2))
-      }
-      val su = b.input("supplier", S("s_suppkey" -> CLong, "s_nationkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Su.idx("s_suppkey")),
-          lng(r, Su.idx("s_nationkey")))))
+      val j4 = b.joinOn(j3, li, "o_orderkey" -> "l_orderkey",
+        "l_suppkey", "n_nationkey", "n_name", "rev")
+      val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
       val j5 = b.join(j4, su, r => lng(r, 0), r => lng(r, 0),
         S("n_name" -> CString, "rev" -> CLong)) { (a, s) =>
         if (lng(a, 1) == lng(s, 1)) Array[Any](str(a, 2), lng(a, 3)) else null
@@ -332,17 +292,12 @@ object TpchLite {
       val Su = t.sch("supplier"); val L = t.sch("lineitem"); val O = t.sch("orders")
       val Cu = t.sch("customer"); val N = t.sch("nation")
       val NA = "NATION_07"; val NB = "NATION_08"
+      val nname = N.idx("n_name")
+      val either: R => Boolean = r => { val n = str(r, nname); n == NA || n == NB }
       val b = new PlanBuilder("q7")
-      val n1 = b.input("nation", S("n_nationkey" -> CLong, "n_name" -> CString))(filterProject(
-        r => { val n = str(r, N.idx("n_name")); n == NA || n == NB },
-        r => Array[Any](lng(r, N.idx("n_nationkey")), str(r, N.idx("n_name")))))
-      val su = b.input("supplier", S("s_suppkey" -> CLong, "s_nationkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Su.idx("s_suppkey")),
-          lng(r, Su.idx("s_nationkey")))))
-      val j1 = b.join(n1, su, r => lng(r, 0), r => lng(r, 1),
-        S("s_suppkey" -> CLong, "n1" -> CString)) { (n, s) =>
-        Array[Any](lng(s, 0), str(n, 1))
-      }
+      val n1 = b.scan("nation", N, "n_nationkey", "n_name")(either)
+      val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
+      val j1 = b.joinOn(n1, su, "n_nationkey" -> "s_nationkey", "s_suppkey", "n_name")
       val li = b.input("lineitem",
         S("l_suppkey" -> CLong, "l_orderkey" -> CLong, "l_year" -> CLong, "rev" -> CLong))(
         filterProject(
@@ -350,27 +305,12 @@ object TpchLite {
           r => Array[Any](lng(r, L.idx("l_suppkey")), lng(r, L.idx("l_orderkey")),
             year(str(r, L.idx("l_shipdate"))),
             rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val j2 = b.join(j1, li, r => lng(r, 0), r => lng(r, 0),
-        S("l_orderkey" -> CLong, "n1" -> CString, "l_year" -> CLong, "rev" -> CLong)) { (a, l) =>
-        Array[Any](lng(l, 1), str(a, 1), lng(l, 2), lng(l, 3))
-      }
-      val od = b.input("orders", S("o_orderkey" -> CLong, "o_custkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, O.idx("o_orderkey")),
-          lng(r, O.idx("o_custkey")))))
-      val j3 = b.join(j2, od, r => lng(r, 0), r => lng(r, 0),
-        S("o_custkey" -> CLong, "n1" -> CString, "l_year" -> CLong, "rev" -> CLong)) { (a, o) =>
-        Array[Any](lng(o, 1), str(a, 1), lng(a, 2), lng(a, 3))
-      }
-      val n2 = b.input("nation", S("n_nationkey" -> CLong, "n_name" -> CString))(filterProject(
-        r => { val n = str(r, N.idx("n_name")); n == NA || n == NB },
-        r => Array[Any](lng(r, N.idx("n_nationkey")), str(r, N.idx("n_name")))))
-      val cu = b.input("customer", S("c_custkey" -> CLong, "c_nationkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Cu.idx("c_custkey")),
-          lng(r, Cu.idx("c_nationkey")))))
-      val j4 = b.join(n2, cu, r => lng(r, 0), r => lng(r, 1),
-        S("c_custkey" -> CLong, "n2" -> CString)) { (n, c) =>
-        Array[Any](lng(c, 0), str(n, 1))
-      }
+      val j2 = b.joinOn(j1, li, "s_suppkey" -> "l_suppkey", "l_orderkey", "n_name", "l_year", "rev")
+      val od = b.scan("orders", O, "o_orderkey", "o_custkey")(_ => true)
+      val j3 = b.joinOn(j2, od, "l_orderkey" -> "o_orderkey", "o_custkey", "n_name", "l_year", "rev")
+      val n2 = b.scan("nation", N, "n_nationkey", "n_name")(either)
+      val cu = b.scan("customer", Cu, "c_custkey", "c_nationkey")(_ => true)
+      val j4 = b.joinOn(n2, cu, "n_nationkey" -> "c_nationkey", "c_custkey", "n_name")
       val j5 = b.join(j3, j4, r => lng(r, 0), r => lng(r, 0),
         S("n1" -> CString, "n2" -> CString, "l_year" -> CLong, "rev" -> CLong)) { (a, c) =>
         val na = str(a, 1); val nb = str(c, 1)
@@ -407,61 +347,33 @@ object TpchLite {
       val P = t.sch("part"); val Su = t.sch("supplier"); val L = t.sch("lineitem")
       val O = t.sch("orders"); val Cu = t.sch("customer"); val N = t.sch("nation")
       val Re = t.sch("region")
+      val (ptype, rname) = (P.idx("p_type"), Re.idx("r_name"))
       val b = new PlanBuilder("q8")
-      val pa = b.input("part", S("p_partkey" -> CLong))(filterProject(
-        r => str(r, P.idx("p_type")) == "ECONOMY",
-        r => Array[Any](lng(r, P.idx("p_partkey")))))
+      val pa = b.scan("part", P, "p_partkey")(r => str(r, ptype) == "ECONOMY")
       val li = b.input("lineitem",
         S("l_partkey" -> CLong, "l_suppkey" -> CLong, "l_orderkey" -> CLong, "rev" -> CLong))(
         filterProject(_ => true, r => Array[Any](lng(r, L.idx("l_partkey")),
           lng(r, L.idx("l_suppkey")), lng(r, L.idx("l_orderkey")),
           rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val j1 = b.join(pa, li, r => lng(r, 0), r => lng(r, 0),
-        S("l_suppkey" -> CLong, "l_orderkey" -> CLong, "rev" -> CLong)) { (_, l) =>
-        Array[Any](lng(l, 1), lng(l, 2), lng(l, 3))
-      }
-      val su = b.input("supplier", S("s_suppkey" -> CLong, "s_nationkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Su.idx("s_suppkey")),
-          lng(r, Su.idx("s_nationkey")))))
-      val j2 = b.join(j1, su, r => lng(r, 0), r => lng(r, 0),
-        S("l_orderkey" -> CLong, "rev" -> CLong, "s_nationkey" -> CLong)) { (a, s) =>
-        Array[Any](lng(a, 1), lng(a, 2), lng(s, 1))
-      }
+      val j1 = b.joinOn(pa, li, "p_partkey" -> "l_partkey", "l_suppkey", "l_orderkey", "rev")
+      val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
+      val j2 = b.joinOn(j1, su, "l_suppkey" -> "s_suppkey", "l_orderkey", "rev", "s_nationkey")
       val od = b.input("orders", S("o_orderkey" -> CLong, "o_custkey" -> CLong, "o_year" -> CLong))(
         filterProject(
           r => { val d = str(r, O.idx("o_orderdate")); d >= "1995-01-01" && d <= "1996-12-31" },
           r => Array[Any](lng(r, O.idx("o_orderkey")), lng(r, O.idx("o_custkey")),
             year(str(r, O.idx("o_orderdate"))))))
-      val j3 = b.join(j2, od, r => lng(r, 0), r => lng(r, 0),
-        S("o_custkey" -> CLong, "rev" -> CLong, "s_nationkey" -> CLong, "o_year" -> CLong)) {
-        (a, o) => Array[Any](lng(o, 1), lng(a, 1), lng(a, 2), lng(o, 2))
-      }
-      val cu = b.input("customer", S("c_custkey" -> CLong, "c_nationkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Cu.idx("c_custkey")),
-          lng(r, Cu.idx("c_nationkey")))))
-      val j4 = b.join(j3, cu, r => lng(r, 0), r => lng(r, 0),
-        S("rev" -> CLong, "s_nationkey" -> CLong, "o_year" -> CLong, "c_nationkey" -> CLong)) {
-        (a, c) => Array[Any](lng(a, 1), lng(a, 2), lng(a, 3), lng(c, 1))
-      }
-      val re = b.input("region", S("r_regionkey" -> CLong))(filterProject(
-        r => str(r, Re.idx("r_name")) == "REGION_1",
-        r => Array[Any](lng(r, Re.idx("r_regionkey")))))
-      val n1 = b.input("nation", S("n_nationkey" -> CLong, "n_regionkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, N.idx("n_nationkey")),
-          lng(r, N.idx("n_regionkey")))))
-      val j5 = b.join(re, n1, r => lng(r, 0), r => lng(r, 1),
-        S("n_nationkey" -> CLong)) { (_, n) => Array[Any](lng(n, 0)) }
-      val j6 = b.join(j4, j5, r => lng(r, 3), r => lng(r, 0),
-        S("rev" -> CLong, "s_nationkey" -> CLong, "o_year" -> CLong)) { (a, _) =>
-        Array[Any](lng(a, 0), lng(a, 1), lng(a, 2))
-      }
-      val n2 = b.input("nation", S("n_nationkey" -> CLong, "n_name" -> CString))(
-        filterProject(_ => true, r => Array[Any](lng(r, N.idx("n_nationkey")),
-          str(r, N.idx("n_name")))))
-      val j7 = b.join(j6, n2, r => lng(r, 1), r => lng(r, 0),
-        S("o_year" -> CLong, "rev" -> CLong, "nation" -> CString)) { (a, n) =>
-        Array[Any](lng(a, 2), lng(a, 0), str(n, 1))
-      }
+      val j3 = b.joinOn(j2, od, "l_orderkey" -> "o_orderkey",
+        "o_custkey", "rev", "s_nationkey", "o_year")
+      val cu = b.scan("customer", Cu, "c_custkey", "c_nationkey")(_ => true)
+      val j4 = b.joinOn(j3, cu, "o_custkey" -> "c_custkey",
+        "rev", "s_nationkey", "o_year", "c_nationkey")
+      val re = b.scan("region", Re, "r_regionkey")(r => str(r, rname) == "REGION_1")
+      val n1 = b.scan("nation", N, "n_nationkey", "n_regionkey")(_ => true)
+      val j5 = b.joinOn(re, n1, "r_regionkey" -> "n_regionkey", "n_nationkey")
+      val j6 = b.joinOn(j4, j5, "c_nationkey" -> "n_nationkey", "rev", "s_nationkey", "o_year")
+      val n2 = b.scan("nation", N, "n_nationkey", "n_name")(_ => true)
+      val j7 = b.joinOn(j6, n2, "s_nationkey" -> "n_nationkey", "o_year", "rev", "n_name")
       val out = S("o_year" -> CLong, "mkt_share" -> CDouble)
       b.agg(j7, key = r => Vector(r(0)), keyOut = r => Vector(r(0)), nAccs = 2, out) {
         (accs, r) =>
@@ -489,10 +401,9 @@ object TpchLite {
     mkPlan = { t =>
       val P = t.sch("part"); val Su = t.sch("supplier"); val L = t.sch("lineitem")
       val Ps = t.sch("partsupp"); val O = t.sch("orders"); val N = t.sch("nation")
+      val ptype = P.idx("p_type")
       val b = new PlanBuilder("q9")
-      val pa = b.input("part", S("p_partkey" -> CLong))(filterProject(
-        r => str(r, P.idx("p_type")) == "PROMO",
-        r => Array[Any](lng(r, P.idx("p_partkey")))))
+      val pa = b.scan("part", P, "p_partkey")(r => str(r, ptype) == "PROMO")
       val li = b.input("lineitem",
         S("l_partkey" -> CLong, "l_suppkey" -> CLong, "l_orderkey" -> CLong,
           "qty" -> CLong, "rev" -> CLong))(
@@ -500,17 +411,11 @@ object TpchLite {
           lng(r, L.idx("l_suppkey")), lng(r, L.idx("l_orderkey")),
           math.round(dbl(r, L.idx("l_quantity"))),
           rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val j1 = b.join(pa, li, r => lng(r, 0), r => lng(r, 0),
-        S("l_partkey" -> CLong, "l_suppkey" -> CLong, "l_orderkey" -> CLong,
-          "qty" -> CLong, "rev" -> CLong)) { (_, l) => l }
-      val su = b.input("supplier", S("s_suppkey" -> CLong, "s_nationkey" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Su.idx("s_suppkey")),
-          lng(r, Su.idx("s_nationkey")))))
-      val j2 = b.join(j1, su, r => lng(r, 1), r => lng(r, 0),
-        S("l_partkey" -> CLong, "l_suppkey" -> CLong, "l_orderkey" -> CLong,
-          "qty" -> CLong, "rev" -> CLong, "s_nationkey" -> CLong)) { (a, s) =>
-        Array[Any](lng(a, 0), lng(a, 1), lng(a, 2), lng(a, 3), lng(a, 4), lng(s, 1))
-      }
+      val j1 = b.joinOn(pa, li, "p_partkey" -> "l_partkey",
+        "l_partkey", "l_suppkey", "l_orderkey", "qty", "rev")
+      val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
+      val j2 = b.joinOn(j1, su, "l_suppkey" -> "s_suppkey",
+        "l_partkey", "l_suppkey", "l_orderkey", "qty", "rev", "s_nationkey")
       val ps = b.input("partsupp",
         S("ps_partkey" -> CLong, "ps_suppkey" -> CLong, "cost" -> CLong))(
         filterProject(_ => true, r => Array[Any](lng(r, Ps.idx("ps_partkey")),
@@ -524,17 +429,9 @@ object TpchLite {
       val od = b.input("orders", S("o_orderkey" -> CLong, "o_year" -> CLong))(
         filterProject(_ => true, r => Array[Any](lng(r, O.idx("o_orderkey")),
           year(str(r, O.idx("o_orderdate"))))))
-      val j4 = b.join(j3, od, r => lng(r, 0), r => lng(r, 0),
-        S("s_nationkey" -> CLong, "o_year" -> CLong, "amount" -> CLong)) { (a, o) =>
-        Array[Any](lng(a, 1), lng(o, 1), lng(a, 2))
-      }
-      val na = b.input("nation", S("n_nationkey" -> CLong, "n_name" -> CString))(
-        filterProject(_ => true, r => Array[Any](lng(r, N.idx("n_nationkey")),
-          str(r, N.idx("n_name")))))
-      val j5 = b.join(j4, na, r => lng(r, 0), r => lng(r, 0),
-        S("nation" -> CString, "o_year" -> CLong, "amount" -> CLong)) { (a, n) =>
-        Array[Any](str(n, 1), lng(a, 1), lng(a, 2))
-      }
+      val j4 = b.joinOn(j3, od, "l_orderkey" -> "o_orderkey", "s_nationkey", "o_year", "amount")
+      val na = b.scan("nation", N, "n_nationkey", "n_name")(_ => true)
+      val j5 = b.joinOn(j4, na, "s_nationkey" -> "n_nationkey", "n_name", "o_year", "amount")
       sumAgg(b, j5, Vector(0, 1), Vector(2),
         S("nation" -> CString, "o_year" -> CLong, "sum_profit" -> CDouble)) { (k, a) =>
         Array[Any](k(0), k(1), a(0).toDouble / 1e4)
@@ -558,26 +455,21 @@ object TpchLite {
     mkPlan = { t =>
       val O = t.sch("orders"); val L = t.sch("lineitem")
       val b = new PlanBuilder("q12")
-      val li = b.input("lineitem", S("l_orderkey" -> CLong, "l_shipmode" -> CString))(
-        filterProject(
-          r => {
-            val m = str(r, L.idx("l_shipmode"))
-            val (sd, cd, rd) = (str(r, L.idx("l_shipdate")), str(r, L.idx("l_commitdate")),
-              str(r, L.idx("l_receiptdate")))
-            (m == "MAIL" || m == "SHIP") && cd < rd && sd < cd &&
-              rd >= "1994-01-01" && rd < "1995-01-01"
-          },
-          r => Array[Any](lng(r, L.idx("l_orderkey")), str(r, L.idx("l_shipmode")))))
+      val (mode, ship, commit, receipt) = (L.idx("l_shipmode"), L.idx("l_shipdate"),
+        L.idx("l_commitdate"), L.idx("l_receiptdate"))
+      val li = b.scan("lineitem", L, "l_orderkey", "l_shipmode") { r =>
+        val m = str(r, mode)
+        val (sd, cd, rd) = (str(r, ship), str(r, commit), str(r, receipt))
+        (m == "MAIL" || m == "SHIP") && cd < rd && sd < cd &&
+          rd >= "1994-01-01" && rd < "1995-01-01"
+      }
       val od = b.input("orders", S("o_orderkey" -> CLong, "hi" -> CLong))(
         filterProject(_ => true, r => {
           val p = str(r, O.idx("o_orderpriority"))
           Array[Any](lng(r, O.idx("o_orderkey")),
             if (p == "1-URGENT" || p == "2-HIGH") 1L else 0L)
         }))
-      val j1 = b.join(li, od, r => lng(r, 0), r => lng(r, 0),
-        S("l_shipmode" -> CString, "hi" -> CLong)) { (l, o) =>
-        Array[Any](str(l, 1), lng(o, 1))
-      }
+      val j1 = b.joinOn(li, od, "l_orderkey" -> "o_orderkey", "l_shipmode", "hi")
       val out = S("l_shipmode" -> CString, "high_line_count" -> CLong, "low_line_count" -> CLong)
       b.agg(j1, key = r => Vector(r(0)), keyOut = r => Vector(r(0)), nAccs = 2, out) {
         (accs, r) => val h = lng(r, 1); accs(0) += h; accs(1) += 1L - h
@@ -632,9 +524,7 @@ object TpchLite {
         filterProject(_ => true, r => Array[Any](lng(r, L.idx("l_partkey")),
           math.round(dbl(r, L.idx("l_quantity"))),
           rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val pa = b.input("part", S("p_partkey" -> CLong, "p_type" -> CString, "p_size" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, P.idx("p_partkey")),
-          str(r, P.idx("p_type")), lng(r, P.idx("p_size")))))
+      val pa = b.scan("part", P, "p_partkey", "p_type", "p_size")(_ => true)
       val j1 = b.join(pa, li, r => lng(r, 0), r => lng(r, 0),
         S("rev" -> CLong)) { (p, l) =>
         val ty = str(p, 1); val sz = lng(p, 2); val q = lng(l, 1)

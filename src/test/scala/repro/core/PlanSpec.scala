@@ -50,6 +50,85 @@ class PlanSpec extends AnyFunSuite {
     }
   }
 
+  private val src = Sch.of("id" -> CLong, "name" -> CString, "price" -> CDouble)
+  private val srcRows: Array[R] =
+    Array(Array[Any](1L, "a", 1.5), Array[Any](2L, "b", 2.5), Array[Any](3L, "c", 3.5))
+
+  /** Every output row of join stage `j` for the given left and right rows. */
+  private def joinRows(p: Plan, j: Int, left: Array[R], right: Array[R]): Vector[Vector[Any]] = {
+    val op = p.stages(j).op.asInstanceOf[JoinOp]
+    for (l <- left.toVector; r <- right.toVector if op.lKey(l) == op.rKey(r);
+         o = op.emit(l, r) if o != null) yield o.toVector
+  }
+
+  test("scan keeps the named columns, typed from the source, of the rows keep accepts") {
+    val b = new PlanBuilder("t")
+    val s = b.scan("a", src, "price", "id")(r => Rows.lng(r, 0) != 2L)
+    mkAgg(b, s)
+    val stage = b.build().stages(s)
+    val op = stage.op.asInstanceOf[InputOp]
+    assert(stage.schema == Sch.of("price" -> CDouble, "id" -> CLong))
+    assert(op.table == "a")
+    assert(op.fuse(srcRows).map(_.toVector).toVector ==
+      Vector(Vector(1.5, 1L), Vector(3.5, 3L)))
+  }
+
+  test("joinOn emits the rows of the equivalent hand-written join") {
+    val other = Sch.of("ref" -> CLong, "qty" -> CLong)
+    val otherRows: Array[R] =
+      Array(Array[Any](3L, 30L), Array[Any](1L, 10L), Array[Any](1L, 11L), Array[Any](9L, 90L))
+    def plan(named: Boolean): Plan = {
+      val b = new PlanBuilder("t")
+      val sa = b.input("a", src)(identity)
+      val sb = b.input("b", other)(identity)
+      val j =
+        if (named) b.joinOn(sa, sb, "id" -> "ref", "qty", "name", "id")
+        else b.join(sa, sb, r => r(0), r => r(0),
+          Sch.of("qty" -> CLong, "name" -> CString, "id" -> CLong)) { (a, o) =>
+          Array[Any](o(1), a(1), a(0))
+        }
+      mkAgg(b, j)
+      b.build()
+    }
+    val (named, byHand) = (plan(named = true), plan(named = false))
+    assert(named.stages(2).schema == byHand.stages(2).schema)
+    val rows = joinRows(named, 2, srcRows, otherRows)
+    assert(rows.size == 3)
+    assert(rows == joinRows(byHand, 2, srcRows, otherRows))
+    for (s <- 0 to 1; r <- srcRows ++ otherRows)
+      assert(named.stages(s).outKey(r) == byHand.stages(s).outKey(r))
+  }
+
+  test("joinOn passes on a side it keeps whole and copies any other selection") {
+    val b = new PlanBuilder("t")
+    val sa = b.input("a", Sch.of("ref" -> CLong))(identity)
+    val sb = b.input("b", src)(identity)
+    val whole = b.joinOn(sa, sb, "ref" -> "id", "id", "name", "price")
+    val sc = b.input("c", Sch.of("key" -> CLong))(identity)
+    val part = b.joinOn(whole, sc, "id" -> "key", "price", "id")
+    mkAgg(b, part)
+    val p = b.build()
+    val (l, r) = (Array[Any](1L), srcRows(0))
+    assert(p.stages(whole).schema == src)
+    assert(p.stages(whole).op.asInstanceOf[JoinOp].emit(l, r) eq r)
+    val copied = p.stages(part).op.asInstanceOf[JoinOp].emit(r, Array[Any](1L))
+    assert(copied.toVector == Vector(1.5, 1L))
+  }
+
+  test("joinOn rejects a column on both sides or neither, and unknown keys") {
+    def attempt(on: (String, String), cols: String*): Unit = {
+      val b = new PlanBuilder("t")
+      val sa = b.input("a", src)(identity)
+      val sb = b.input("b", Sch.of("id" -> CLong, "qty" -> CLong))(identity)
+      b.joinOn(sa, sb, on, cols: _*)
+    }
+    attempt("id" -> "id", "name", "qty")
+    assertThrows[IllegalArgumentException](attempt("id" -> "id", "id"))
+    assertThrows[IllegalArgumentException](attempt("id" -> "id", "missing"))
+    assertThrows[NoSuchElementException](attempt("nokey" -> "id", "qty"))
+    assertThrows[NoSuchElementException](attempt("id" -> "nokey", "qty"))
+  }
+
   test("static batch size must be positive") {
     assertThrows[IllegalArgumentException](StaticBatch(0))
   }

@@ -41,6 +41,26 @@ class QueriesSpec extends SparkSpec {
     }
   }
 
+  test("every input stage emits rows that match its declared schema") {
+    for (q <- TpchLite.all; st <- q.mkPlan(t).stages) st.op match {
+      case InputOp(table, fuse) =>
+        val rows = t.rows(table).grouped(cfg.inputBatchRows).flatMap(fuse(_)).toVector
+        assert(rows.nonEmpty, s"${q.id} stage ${st.id} emits no rows at SF=$SF")
+        for (r <- rows) {
+          assert(r.length == st.schema.size, s"${q.id} stage ${st.id}: ${r.length} values")
+          st.schema.cols.zip(r).foreach { case ((name, ty), v) =>
+            val ok = ty match {
+              case CLong   => v.isInstanceOf[Long]
+              case CDouble => v.isInstanceOf[Double]
+              case CString => v.isInstanceOf[String]
+            }
+            assert(ok, s"${q.id} stage ${st.id} column $name: $ty declared, got $v")
+          }
+        }
+      case _ =>
+    }
+  }
+
   test("queries produce non-trivial results at the test scale factor") {
     // guards the HAVING COUNT(*) > 0 semantics of the keyless aggregates
     for (q <- Vector(TpchLite.q6, TpchLite.q14, TpchLite.q19)) {
