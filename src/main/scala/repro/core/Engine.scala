@@ -75,15 +75,22 @@ private[core] final class AggState {
 
 /** Runtime state of one channel (paper: one channel of a stage, hosted by
   * one TaskManager). `epoch` invalidates in-flight events across a rewind.
+  * `idx` is the channel's dense GCS index. The input-side tables are
+  * indexed by upstream position: the p-th of the stage's `ups` upstream
+  * channels, in (upstream, channel) order.
   */
-private[core] final class ChannelRt(val stage: Int, val ch: Int) {
+private[core] final class ChannelRt(val stage: Int, val ch: Int, val idx: Int, ups: Int) {
   var worker: Int = 0
   var epoch: Int = 0
   var seq: Int = 0
   var busy = false
   var flushed = false
-  val consumed = mutable.LinkedHashMap.empty[(Int, Int), Int]
-  val mailbox = mutable.HashMap.empty[(Int, Int, Int), Array[R]]
+  /** Outputs of each upstream channel consumed so far (a seq watermark). */
+  val consumed = new Array[Int](ups)
+  /** Arrived, unconsumed slices of each upstream channel, by seq. */
+  val mailbox = Array.fill(ups)(new SeqBuf[Array[R]])
+  /** End of the run of arrived slices that starts at `consumed(p)`. */
+  val arrivedEnd = new Array[Int](ups)
   var myBatches: Vector[Int] = Vector.empty
   var cursor = 0
   var join: JoinState = null
@@ -97,7 +104,30 @@ private[core] final class ChannelRt(val stage: Int, val ch: Int) {
   def stateRows: Long = {
     if (join != null) join.rows else if (agg != null) agg.rows else 0L
   }
-  def id: (Int, Int) = (stage, ch)
+
+  /** File an arriving slice unless a copy is already there. */
+  def arrive(p: Int, seq: Int, rows: Array[R]): Unit = {
+    val mb = mailbox(p)
+    if (!mb.contains(seq)) {
+      mb(seq) = rows
+      var end = arrivedEnd(p)
+      while (mb.contains(end)) end += 1
+      arrivedEnd(p) = end
+    }
+  }
+
+  /** Drop the slices of upstream position `p` from seq `from` on. */
+  def truncate(p: Int, from: Int): Unit = {
+    mailbox(p).truncate(from)
+    arrivedEnd(p) = math.min(arrivedEnd(p), from)
+  }
+
+  /** Forget every slice and watermark (the channel is rewound). */
+  def clearInputs(): Unit = {
+    mailbox.foreach(_.clear())
+    java.util.Arrays.fill(consumed, 0)
+    java.util.Arrays.fill(arrivedEnd, 0)
+  }
 }
 
 /** Counters for the overhead/recovery experiments. */
@@ -140,12 +170,20 @@ final class Engine(
   private[core] val sim = new Sim
   private[core] val workers = Vector.tabulate(cfg.workers)(new WorkerRt(_, cost.coresPerWorker))
   private[core] val C = cfg.channels
-  private[core] val gcs = new Gcs
+  private[core] val gcs = new Gcs(plan.stages.size, C)
   val metrics = new Metrics
+
+  /** GCS index of each upstream position of each stage. */
+  private val upIdx: Vector[Array[Int]] =
+    plan.stages.map(s => (for (u <- s.upstreams; c <- 0 until C) yield gcs.index(u, c)).toArray)
+  /** Index of each stage among its consumer's upstreams (0 for the final stage). */
+  private val upPos: Array[Int] = plan.stages.map { s =>
+    if (s.id == plan.last) 0 else stageOf(plan.consumers(s.id).head).upstreams.indexOf(s.id)
+  }.toArray
 
   private[core] val channels: Vector[Vector[ChannelRt]] =
     plan.stages.map(s => Vector.tabulate(C) { c =>
-      val ch = new ChannelRt(s.id, c)
+      val ch = new ChannelRt(s.id, c, gcs.index(s.id, c), s.upstreams.size * C)
       ch.worker = c % cfg.workers
       s.op match {
         case _: JoinOp => ch.join = new JoinState
@@ -167,12 +205,15 @@ final class Engine(
     channels(sid)(c).myBatches = batches.indices.filter(_ % C == c).toVector
   }
 
-  /** Unreliable producer-local backups: (stage, ch, seq) -> (worker, slices, bytes). */
-  private[core] val backups = mutable.HashMap.empty[(Int, Int, Int), (Int, Vector[(Int, Array[R])], Long)]
+  /** Unreliable producer-local backups, by channel index and seq:
+    * (worker, slices, bytes).
+    */
+  private[core] val backups =
+    Vector.fill(plan.stages.size * C)(new SeqBuf[(Int, Vector[(Int, Array[R])], Long)])
   /** Reliable spooled partitions (survive any worker failure). */
-  private[core] val spool = mutable.HashMap.empty[(Int, Int, Int), (Vector[(Int, Array[R])], Long)]
+  private[core] val spool = Vector.fill(plan.stages.size * C)(new SeqBuf[(Vector[(Int, Array[R])], Long)])
   /** Content digest of each task's output — replay-identity invariant. */
-  private[core] val outputHash = mutable.HashMap.empty[(Int, Int, Int), Long]
+  private[core] val outputHash = Vector.fill(plan.stages.size * C)(new SeqBuf[java.lang.Long])
   /** Tasks whose downstream push hit a dead worker: commit withheld
     * (Algorithm 1's "push results failed" branch), resolved by recovery.
     */
@@ -208,20 +249,17 @@ final class Engine(
   private[core] def pokeAll(): Unit =
     for (st <- channels; ch <- st) poke(ch)
 
-  private def upstreamChannels(s: Stage): Vector[(Int, Int)] =
-    for (u <- s.upstreams; c <- (0 until C).toVector) yield (u, c)
-
-  /** Length of the consecutive run of consumable outputs of upstream `u`
-    * starting at the consumer's watermark: each must have committed lineage
-    * (the core invariant) and have arrived in the mailbox.
+  /** Position of producer channel (ps, pc) among its consumer's upstream
+    * channels.
     */
-  private def availRun(ch: ChannelRt, u: (Int, Int)): Int = {
-    val w = ch.consumed.getOrElse(u, 0)
-    var len = 0
-    while (gcs.isCommitted(u._1, u._2, w + len) && ch.mailbox.contains((u._1, u._2, w + len)))
-      len += 1
-    len
-  }
+  private[core] def slot(ps: Int, pc: Int): Int = upPos(ps) * C + pc
+
+  /** Length of the consecutive run of consumable outputs of upstream
+    * position `p` starting at the consumer's watermark: each must have
+    * committed lineage (the core invariant) and have arrived in the mailbox.
+    */
+  private def availRun(ch: ChannelRt, p: Int): Int =
+    math.max(0, math.min(gcs.committedCount(upIdx(ch.stage)(p)), ch.arrivedEnd(p)) - ch.consumed(p))
 
   // ------------------------------------------------------------- scheduling
 
@@ -267,38 +305,42 @@ final class Engine(
     * channel is done.
     */
   private def pickConsume(ch: ChannelRt): Option[ConsumeRec] = {
-    val ups = upstreamChannels(stageOf(ch.stage))
-    val pick: Option[((Int, Int), Int)] = cfg.batching match {
+    val ups = upIdx(ch.stage)
+    val pick: Option[(Int, Int)] = cfg.batching match {
       case Dynamic =>
-        var best: (Int, Int) = null
+        var best = 0
         var bestLen = 0
-        for (u <- ups) {
-          val len = availRun(ch, u)
-          val qualifies = len >= cfg.dynamicMinRun || (len > 0 && gcs.channelDone(u))
-          if (qualifies && len > bestLen) { best = u; bestLen = len }
+        var p = 0
+        while (p < ups.length) {
+          val len = availRun(ch, p)
+          val qualifies = len >= cfg.dynamicMinRun || (len > 0 && gcs.channelDone(ups(p)))
+          if (qualifies && len > bestLen) { best = p; bestLen = len }
+          p += 1
         }
         if (bestLen > 0) Some((best, bestLen)) else None
       case StaticBatch(k) =>
-        ups.collectFirst {
-          case u if availRun(ch, u) >= k => (u, k)
-        }.orElse(ups.collectFirst {
-          case u if gcs.channelDone(u) && {
-            val rem = gcs.committedCount(u) - ch.consumed.getOrElse(u, 0)
-            rem > 0 && availRun(ch, u) >= rem
-          } => (u, gcs.committedCount(u) - ch.consumed.getOrElse(u, 0))
+        ups.indices.collectFirst {
+          case p if availRun(ch, p) >= k => (p, k)
+        }.orElse(ups.indices.collectFirst {
+          case p if gcs.channelDone(ups(p)) && {
+            val rem = gcs.committedCount(ups(p)) - ch.consumed(p)
+            rem > 0 && availRun(ch, p) >= rem
+          } => (p, gcs.committedCount(ups(p)) - ch.consumed(p))
         })
     }
-    pick.map { case (u, k) => ConsumeRec(u._1, u._2, ch.consumed.getOrElse(u, 0), k) }
+    pick.map { case (p, k) =>
+      ConsumeRec(stageOf(ch.stage).upstreams(p / C), p % C, ch.consumed(p), k)
+    }
   }
 
   private def readyToFlush(ch: ChannelRt): Boolean =
     !ch.flushed && upstreamsDrained(ch)
 
   /** Every upstream channel is done and `ch` has consumed all it committed. */
-  private def upstreamsDrained(ch: ChannelRt): Boolean =
-    upstreamChannels(stageOf(ch.stage)).forall { u =>
-      gcs.channelDone(u) && ch.consumed.getOrElse(u, 0) == gcs.committedCount(u)
-    }
+  private def upstreamsDrained(ch: ChannelRt): Boolean = {
+    val ups = upIdx(ch.stage)
+    ups.indices.forall(p => gcs.channelDone(ups(p)) && ch.consumed(p) == gcs.committedCount(ups(p)))
+  }
 
   // ---------------------------------------------------------------- kernels
 
@@ -371,15 +413,16 @@ final class Engine(
     * slices `rec` names out of the mailbox and run the stage's kernel.
     */
   private def runConsume(ch: ChannelRt, rec: ConsumeRec, replayMode: Boolean): Unit = {
-    val u = (rec.uStage, rec.uCh)
-    val rows = (rec.from until rec.from + rec.k).toArray.flatMap { s =>
-      val slice = ch.mailbox.remove((u._1, u._2, s))
-      require(slice.isDefined, s"consuming unavailable slice ($u,$s) at ${ch.id}")
-      slice.get
-    }
-    ch.consumed(u) = rec.from + rec.k
+    val p = slot(rec.uStage, rec.uCh)
+    val rows = Array.tabulate(rec.k) { i =>
+      val slice = ch.mailbox(p).remove(rec.from + i)
+      require(slice != null, s"consuming unavailable slice ((${rec.uStage},${rec.uCh}),${rec.from + i}) " +
+        s"at (${ch.stage},${ch.ch})")
+      slice
+    }.flatten
+    ch.consumed(p) = rec.from + rec.k
     val (out, nsPerRow) = stageOf(ch.stage).op match {
-      case op: JoinOp => (runJoinKernel(ch, op, u._1, rows), cost.joinNsPerRow)
+      case op: JoinOp => (runJoinKernel(ch, op, rec.uStage, rows), cost.joinNsPerRow)
       case op: AggOp  => runAggKernel(ch, op, rows); (Array.empty[R], cost.aggNsPerRow)
       case _ => throw new IllegalStateException("input stage in consume path")
     }
@@ -441,25 +484,24 @@ final class Engine(
     val bytes = out.length.toLong * stage.schema.rowBytes
 
     // replay-identity invariant: a replayed task must regenerate its output
-    val key = (ch.stage, ch.ch, mySeq)
-    outputHash.get(key) match {
-      case Some(h) =>
-        val h2 = Rows.multisetHash(out)
-        if (h != h2) throw new IllegalStateException(
-          s"replay divergence at $key: $h vs $h2 — lineage replay is broken")
-      case None => outputHash(key) = Rows.multisetHash(out)
+    val h2 = Rows.multisetHash(out)
+    outputHash(ch.idx)(mySeq) match {
+      case null => outputHash(ch.idx)(mySeq) = h2
+      case h =>
+        if (h.longValue != h2) throw new IllegalStateException(
+          s"replay divergence at (${ch.stage},${ch.ch},$mySeq): $h vs $h2 — lineage replay is broken")
     }
 
     // persist: upstream backup to local disk, or spool to the reliable store
     var persistEnd = sim.now
     if (cfg.ft.upstreamBackup) {
       persistEnd = w.disk.use(sim.now, cost.diskS(bytes))
-      backups(key) = (ch.worker, slices, bytes)
+      backups(ch.idx)(mySeq) = (ch.worker, slices, bytes)
       metrics.backupBytes += bytes
     }
     if (cfg.ft.spooling) {
       persistEnd = w.storeLink.use(sim.now, cost.storeS(bytes, slices.size))
-      spool(key) = (slices, bytes)
+      spool(ch.idx)(mySeq) = (slices, bytes)
       metrics.spoolBytes += bytes
     }
 
@@ -499,7 +541,7 @@ final class Engine(
         // coordinator holds the GCS lock during recovery planning
         sim.after(cost.planS)(scheduleCommit(ch, epoch, mySeq, rec, markDone, slices, sim.now))
       } else if (ch.epoch == epoch && workers(ch.worker).alive(sim.now)) {
-        val becameDone = gcs.commit(ch.stage, ch.ch, mySeq, rec, markDone)
+        val becameDone = gcs.commit(ch.idx, mySeq, rec, markDone)
         if (becameDone) onChannelDone(ch)
         // an arrival may have been dropped against a worker that died
         // between push and delivery — committed outputs must reach their
@@ -539,9 +581,10 @@ final class Engine(
       }
     } else {
       val consumerStage = plan.consumers(ps).head
+      val p = slot(ps, pc)
       for ((d, rows) <- slices) {
         val dest = channels(consumerStage)(d)
-        if (needsSlice(dest, ps, pc, seq) && workers(dest.worker).alive(sim.now)) {
+        if (needsSlice(dest, p, seq) && workers(dest.worker).alive(sim.now)) {
           val bytes = rows.length.toLong * rowBytes
           val arrive =
             if (dest.worker == from) math.max(start, last) + 1e-6
@@ -556,22 +599,24 @@ final class Engine(
     last
   }
 
-  /** A destination still needs (prodStage, prodCh, seq) iff it has not
-    * consumed past it and has no copy in its mailbox.
+  /** A destination still needs output `seq` of its upstream position `p`
+    * iff it has not consumed past it and has no copy in its mailbox.
     */
-  private[core] def needsSlice(dest: ChannelRt, ps: Int, pc: Int, seq: Int): Boolean =
-    dest.consumed.getOrElse((ps, pc), 0) <= seq && !dest.mailbox.contains((ps, pc, seq))
+  private[core] def needsSlice(dest: ChannelRt, p: Int, seq: Int): Boolean =
+    dest.consumed(p) <= seq && !dest.mailbox(p).contains(seq)
 
   private[core] def sliceArrive(dest: ChannelRt, sentToWorker: Int, ps: Int, pc: Int,
                           seq: Int, rows: Array[R], prodEpochAtSend: Int): Unit = {
     // data addressed to a worker that died or lost the channel is dropped
     if (dest.worker != sentToWorker || !workers(dest.worker).alive(sim.now)) return
-    if (dest.consumed.getOrElse((ps, pc), 0) > seq) return // already consumed (replay dup)
+    val p = slot(ps, pc)
+    if (dest.consumed(p) > seq) return // already consumed (replay dup)
     // an uncommitted slice from a producer that has since been rewound is
     // stale: the producer's re-executed suffix may commit different content
     // under this sequence number
-    if (channels(ps)(pc).epoch != prodEpochAtSend && !gcs.isCommitted(ps, pc, seq)) return
-    dest.mailbox.getOrElseUpdate((ps, pc, seq), rows)
+    val prod = channels(ps)(pc)
+    if (prod.epoch != prodEpochAtSend && !gcs.isCommitted(prod.idx, seq)) return
+    dest.arrive(p, seq, rows)
     poke(dest)
   }
 
@@ -593,7 +638,8 @@ final class Engine(
     */
   private def tryReplay(ch: ChannelRt): Unit = ch.replay.head match {
     case rec @ ConsumeRec(us, uc, from, k) =>
-      if ((from until from + k).forall(s => ch.mailbox.contains((us, uc, s)))) {
+      val mb = ch.mailbox(slot(us, uc))
+      if ((from until from + k).forall(mb.contains)) {
         ch.replay = ch.replay.tail
         runConsume(ch, rec, replayMode = true)
       }
@@ -607,14 +653,14 @@ final class Engine(
   // --------------------------------------------------------------- doneness
 
   private def checkDone(ch: ChannelRt): Unit = {
-    if (gcs.channelDone(ch.id)) return
+    if (gcs.channelDone(ch.idx)) return
     val stage = stageOf(ch.stage)
     stage.op match {
       case _: InputOp => // done is marked by the last commit
       case _: JoinOp =>
         val complete = !ch.busy && ch.replay.isEmpty &&
-          gcs.committedCount(ch.id) == ch.seq && upstreamsDrained(ch)
-        if (complete && gcs.markDone(ch.id)) onChannelDone(ch)
+          gcs.committedCount(ch.idx) == ch.seq && upstreamsDrained(ch)
+        if (complete && gcs.markDone(ch.idx)) onChannelDone(ch)
       case _: AggOp => // done is marked by the flush commit
     }
   }
@@ -642,7 +688,7 @@ final class Engine(
 
   private def maybeFinish(): Unit = {
     if (!finished && collectGot.size == C &&
-        (0 until C).forall(c => gcs.channelDone((plan.last, c)))) {
+        (0 until C).forall(c => gcs.channelDone(gcs.index(plan.last, c)))) {
       finished = true
       finishT = sim.now
     }
@@ -653,7 +699,7 @@ final class Engine(
   private def scheduleCkptTicks(): Unit = cfg.ft match {
     case Ckpt(interval, incremental) =>
       def tick(ch: ChannelRt): Unit = {
-        if (finished || gcs.channelDone(ch.id)) return
+        if (finished || gcs.channelDone(ch.idx)) return
         if (!workers(ch.worker).alive(sim.now)) return
         if (ch.busy) { sim.after(0.05)(tick(ch)); return }
         val rows = if (incremental) ch.stateRows - ch.stateRowsAtCkpt else ch.stateRows
@@ -686,7 +732,7 @@ final class Engine(
     sim.at(t) {
       if (!finished && workers(w).alive(sim.now)) {
         workers(w).deadAt = sim.now
-        backups.filterInPlace { case (_, (owner, _, _)) => owner != w }
+        backups.foreach(_.filterInPlace(_._1 != w))
         sim.after(cost.detectS) {
           if (!finished) {
             barrier = true
@@ -703,6 +749,16 @@ final class Engine(
 
   // -------------------------------------------------------------------- run
 
+  /** Per upstream channel that `ch` has touched: consumed watermark and
+    * mailbox count, for the deadlock report.
+    */
+  private def inputState(ch: ChannelRt): String = {
+    val ups = stageOf(ch.stage).upstreams
+    val touched = ch.consumed.indices.filter(p => ch.consumed(p) > 0 || ch.mailbox(p).count > 0)
+    touched.map(p => s"(${ups(p / C)},${p % C})->${ch.consumed(p)}/${ch.mailbox(p).count}")
+      .mkString("consumed/mbox=[", " ", "]")
+  }
+
   def run(): RunResult = {
     injectFailures()
     scheduleCkptTicks()
@@ -711,16 +767,15 @@ final class Engine(
       for {
         st <- channels; ch <- st
         if stageOf(ch.stage).op.isInstanceOf[InputOp] && ch.myBatches.isEmpty
-      } if (gcs.markDone(ch.id)) onChannelDone(ch)
+      } if (gcs.markDone(ch.idx)) onChannelDone(ch)
     }
     sim.at(0.0)(pokeAll())
     sim.run()
     if (!finished) {
       val undone = for {
-        st <- channels; ch <- st if !gcs.channelDone(ch.id)
-      } yield s"${ch.id} seq=${ch.seq} committed=${gcs.committedCount(ch.id)} " +
-        s"busy=${ch.busy} replay=${ch.replay.size} worker=${ch.worker} " +
-        s"consumed=${ch.consumed.toMap} mbox=${ch.mailbox.size}"
+        st <- channels; ch <- st if !gcs.channelDone(ch.idx)
+      } yield s"(${ch.stage},${ch.ch}) seq=${ch.seq} committed=${gcs.committedCount(ch.idx)} " +
+        s"busy=${ch.busy} replay=${ch.replay.size} worker=${ch.worker} " + inputState(ch)
       throw new IllegalStateException(
         s"engine deadlock in ${plan.name}: collect=${collectGot.size}/$C\n" + undone.mkString("\n"))
     }

@@ -22,73 +22,70 @@ case object FlushRec extends LineageRec { val byteSize = 12 }
 /** Global Control Store — the transactional metadata store of paper §IV-B
   * (Redis on the head node; assumed not to fail, like Spark's driver).
   *
-  * Holds the committed lineage log `G.L` (as per-channel committed
-  * prefixes: commits are sequential within a channel), the outstanding-task
+  * Holds the committed lineage log `G.L` as per-channel committed
+  * prefixes (commits are sequential within a channel), the outstanding-task
   * view, and channel-done markers. `commit` models the single transaction
   * of Algorithm 1: lineage append + task-queue update together.
+  *
+  * Channels are named by one dense index, `index(stage, ch)` =
+  * `stage * channels + ch`, so every per-channel table is an array and a
+  * channel's lineage is a buffer indexed by seq: the committed count is
+  * that buffer's length.
   *
   * Out-of-order commits (a task whose push to a failed worker was held
   * back while its successor finished) are buffered and applied once the
   * prefix is complete, preserving the committed-prefix invariant consumers
   * rely on.
   */
-final class Gcs {
-  type Ch = (Int, Int) // (stage, channel)
-
-  private val committed = mutable.HashMap.empty[Ch, Int]
-  private val recs = mutable.HashMap.empty[(Int, Int, Int), LineageRec]
-  private val pending = mutable.HashMap.empty[(Int, Int, Int), LineageRec]
-  private val done = mutable.HashSet.empty[Ch]
+final class Gcs(stages: Int, channels: Int) {
+  private val recs = Array.fill(stages * channels)(mutable.ArrayBuffer.empty[LineageRec])
+  private val pending = mutable.HashMap.empty[(Int, Int), LineageRec] // (index, seq)
+  /** Committed count at which a channel becomes done (done-marking commit). */
+  private val doneAt = Array.fill(stages * channels)(Int.MaxValue)
+  private val done = new Array[Boolean](stages * channels)
 
   /** Telemetry for the overhead experiments. */
   var txns: Long = 0L
   var lineageBytes: Long = 0L
 
-  /** Number of committed tasks of `ch` (a dense prefix of seq numbers). */
-  def committedCount(ch: Ch): Int = committed.getOrElse(ch, 0)
+  def index(stage: Int, ch: Int): Int = stage * channels + ch
 
-  def isCommitted(stage: Int, chan: Int, seq: Int): Boolean =
-    seq < committedCount((stage, chan))
+  /** Number of committed tasks of channel `i` (a dense prefix of seq numbers). */
+  def committedCount(i: Int): Int = recs(i).length
 
-  def rec(stage: Int, chan: Int, seq: Int): LineageRec =
-    recs.getOrElse((stage, chan, seq),
-      throw new NoSuchElementException(s"no committed lineage for ($stage,$chan,$seq)"))
+  def isCommitted(i: Int, seq: Int): Boolean = seq < recs(i).length
+
+  def rec(i: Int, seq: Int): LineageRec =
+    if (isCommitted(i, seq)) recs(i)(seq)
+    else throw new NoSuchElementException(
+      s"no committed lineage for (${i / channels},${i % channels},$seq)")
 
   /** Committed lineage records of a channel, in seq order. */
-  def channelLog(ch: Ch): Vector[LineageRec] =
-    (0 until committedCount(ch)).map(s => rec(ch._1, ch._2, s)).toVector
+  def channelLog(i: Int): List[LineageRec] = recs(i).toList
 
-  def channelDone(ch: Ch): Boolean = done.contains(ch)
+  def channelDone(i: Int): Boolean = done(i)
 
-  private val pendingDone = mutable.HashMap.empty[Ch, Int]
-
-  /** Single transaction: commit lineage of task (stage, chan, seq), remove it
-    * from the outstanding set, optionally mark the channel done. Buffered if
-    * an earlier seq of the channel has not committed yet; done-ness only
+  /** Single transaction: commit lineage of task (i, seq), remove it from
+    * the outstanding set, optionally mark the channel done. Buffered if an
+    * earlier seq of the channel has not committed yet; done-ness only
     * takes effect once the committed prefix reaches the done-marking task.
     * Returns true iff the channel became done by this commit.
     */
-  def commit(stage: Int, chan: Int, seq: Int, r: LineageRec, markDone: Boolean = false): Boolean = {
+  def commit(i: Int, seq: Int, r: LineageRec, markDone: Boolean = false): Boolean = {
     txns += 1
     lineageBytes += r.byteSize
-    val ch = (stage, chan)
-    if (markDone) pendingDone(ch) = seq + 1
-    if (seq == committedCount(ch)) {
-      recs((stage, chan, seq)) = r
-      committed(ch) = seq + 1
+    val log = recs(i)
+    if (markDone) doneAt(i) = seq + 1
+    if (seq == log.length) {
+      log += r
       // drain any buffered successors
-      var next = seq + 1
-      while (pending.contains((stage, chan, next))) {
-        recs((stage, chan, next)) = pending.remove((stage, chan, next)).get
-        committed(ch) = next + 1
-        next += 1
-      }
-    } else if (seq > committedCount(ch)) {
-      pending((stage, chan, seq)) = r
+      while (pending.nonEmpty && pending.contains((i, log.length)))
+        log += pending.remove((i, log.length)).get
+    } else if (seq > log.length) {
+      pending((i, seq)) = r
     } // seq < committedCount: replay of an already-committed task — no-op
-    val becameDone = !done.contains(ch) &&
-      pendingDone.get(ch).exists(_ <= committedCount(ch))
-    if (becameDone) done += ch
+    val becameDone = !done(i) && doneAt(i) <= log.length
+    if (becameDone) done(i) = true
     becameDone
   }
 
@@ -96,10 +93,10 @@ final class Gcs {
     * whose inputs are exhausted, or input channels with no batches).
     * Returns true iff the channel was not already done.
     */
-  def markDone(ch: Ch): Boolean = {
+  def markDone(i: Int): Boolean = {
     txns += 1
-    val became = !done.contains(ch)
-    done += ch
+    val became = !done(i)
+    done(i) = true
     became
   }
 }

@@ -50,11 +50,10 @@ object Recovery {
       ch.epoch += 1
       ch.busy = false
       ch.flushed = false
-      ch.mailbox.clear()
-      ch.consumed.clear()
+      ch.clearInputs()
       ch.stateRowsAtCkpt = 0L
       ch.worker = nextWorker()
-      val cc = e.gcs.committedCount(ch.id)
+      val cc = e.gcs.committedCount(ch.idx)
       // Tasks past the committed prefix never committed: the post-replay
       // dynamic suffix may batch differently, so (a) their recorded output
       // hashes are stale and (b) their already-pushed slices sitting in
@@ -62,14 +61,11 @@ object Recovery {
       // commit *different* content under the same sequence numbers. Purge
       // both. (This is the paper's "channels in the second class ignore
       // the recovered task's re-transmitted output" rule, enforced from
-      // the consumer side for uncommitted outputs.)
-      var s = cc
-      while (s < ch.seq) {
-        e.outputHash.remove((ch.stage, ch.ch, s))
-        for (cs <- e.plan.consumers(ch.stage); dch <- e.channels(cs))
-          dch.mailbox.remove((ch.stage, ch.ch, s))
-        s += 1
-      }
+      // the consumer side for uncommitted outputs.) Nothing past the
+      // channel's last task exists, so the purge truncates at `cc`.
+      e.outputHash(ch.idx).truncate(cc)
+      for (cs <- e.plan.consumers(ch.stage); dch <- e.channels(cs))
+        dch.truncate(e.slot(ch.stage, ch.ch), cc)
       if (!e.plan.stages(ch.stage).stateful) {
         // stateless: committed reads are recovered data-parallel below;
         // the channel itself resumes with its remaining batches
@@ -77,7 +73,7 @@ object Recovery {
       } else {
         if (ch.join != null) ch.join = new JoinState else ch.agg = new AggState
         ch.seq = 0
-        ch.replay = e.gcs.channelLog(ch.id).toList
+        ch.replay = e.gcs.channelLog(ch.idx)
       }
     }
 
@@ -94,7 +90,7 @@ object Recovery {
       }
       for (u <- e.plan.stages(ch.stage).upstreams; uc <- 0 until e.C) {
         var i = 0
-        val cc = e.gcs.committedCount((u, uc))
+        val cc = e.gcs.committedCount(e.gcs.index(u, uc))
         while (i < cc) { needed += ((u, uc, i)); i += 1 }
       }
     }
@@ -102,10 +98,11 @@ object Recovery {
     // ---- replay / re-read / rewind decision, reverse topological order
     for (p <- needed.toVector.sortBy { case (us, uc, s) => (-us, uc, s) }) {
       val (us, uc, s) = p
+      val i = e.gcs.index(us, uc)
       e.metrics.recoveredPartitions += 1
-      if (e.cfg.ft.spooling && e.spool.contains(p)) {
+      if (e.cfg.ft.spooling && e.spool(i).contains(s)) {
         scheduleSpoolFetch(e, p)
-      } else e.backups.get(p) match {
+      } else Option(e.backups(i)(s)) match {
         case Some((owner, slices, bytes)) =>
           scheduleRePush(e, owner, p, slices, bytes)
         case None =>
@@ -141,11 +138,11 @@ object Recovery {
   private def scheduleSpoolFetch(e: Engine, p: (Int, Int, Int)): Unit = {
     import e.cfg.cost
     val (us, uc, s) = p
-    val (slices, _) = e.spool(p)
+    val (slices, _) = e.spool(e.gcs.index(us, uc))(s)
     val consumerStage = e.plan.consumers(us).head
     for ((d, rows) <- slices) {
       val dest = e.channels(consumerStage)(d)
-      if (e.needsSlice(dest, us, uc, s)) {
+      if (e.needsSlice(dest, e.slot(us, uc), s)) {
         val sbytes = rows.length.toLong * e.plan.stages(us).schema.rowBytes
         val w = e.workers(dest.worker)
         val end = w.storeLink.use(e.sim.now, cost.storeS(sbytes, 1))
@@ -161,16 +158,17 @@ object Recovery {
   private def scheduleReRead(e: Engine, p: (Int, Int, Int), worker: Int): Unit = {
     import e.cfg.cost
     val (us, uc, s) = p
+    val i = e.gcs.index(us, uc)
     e.metrics.rereadJobs += 1
     val stage = e.plan.stages(us)
-    val batchIdx = e.gcs.rec(us, uc, s) match {
+    val batchIdx = e.gcs.rec(i, s) match {
       case ReadRec(b) => b
       case other => throw new IllegalStateException(s"input lineage of $p is $other")
     }
     val (out, cpu) = e.runInput(stage, e.inputBatches(us)(batchIdx))
     val h = Rows.multisetHash(out)
-    e.outputHash.get(p).foreach { prev =>
-      if (prev != h) throw new IllegalStateException(s"re-read divergence at $p")
+    Option(e.outputHash(i)(s)).foreach { prev =>
+      if (prev.longValue != h) throw new IllegalStateException(s"re-read divergence at $p")
     }
     val slices = e.sliceUp(stage, out)
     val bytes = out.length.toLong * stage.schema.rowBytes
@@ -179,7 +177,7 @@ object Recovery {
     e.sim.at(cpuEnd) {
       if (e.workers(worker).alive(e.sim.now)) {
         val dEnd = if (e.cfg.ft.upstreamBackup) {
-          e.backups(p) = (worker, slices, bytes)
+          e.backups(i)(s) = (worker, slices, bytes)
           w.disk.use(e.sim.now, cost.diskS(bytes))
         } else e.sim.now
         e.push(worker, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)

@@ -3,78 +3,80 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 class GcsSpec extends AnyFunSuite {
+  /** A store for five stages of three channels each. */
+  private def newGcs() = new Gcs(stages = 5, channels = 3)
 
   test("commits advance the committed prefix in order") {
-    val g = new Gcs
-    assert(g.committedCount((0, 0)) == 0)
-    g.commit(0, 0, 0, ReadRec(5))
-    g.commit(0, 0, 1, ReadRec(8))
-    assert(g.committedCount((0, 0)) == 2)
-    assert(g.isCommitted(0, 0, 1))
-    assert(!g.isCommitted(0, 0, 2))
+    val g = newGcs()
+    assert(g.committedCount(g.index(0, 0)) == 0)
+    g.commit(g.index(0, 0), 0, ReadRec(5))
+    g.commit(g.index(0, 0), 1, ReadRec(8))
+    assert(g.committedCount(g.index(0, 0)) == 2)
+    assert(g.isCommitted(g.index(0, 0), 1))
+    assert(!g.isCommitted(g.index(0, 0), 2))
   }
 
   test("out-of-order commits are buffered until the prefix completes") {
-    val g = new Gcs
-    g.commit(1, 0, 1, ConsumeRec(0, 0, 0, 2)) // seq 1 before seq 0
-    assert(g.committedCount((1, 0)) == 0)
-    g.commit(1, 0, 0, ConsumeRec(0, 1, 0, 1))
-    assert(g.committedCount((1, 0)) == 2) // both drained
-    assert(g.rec(1, 0, 1) == ConsumeRec(0, 0, 0, 2))
+    val g = newGcs()
+    g.commit(g.index(1, 0), 1, ConsumeRec(0, 0, 0, 2)) // seq 1 before seq 0
+    assert(g.committedCount(g.index(1, 0)) == 0)
+    g.commit(g.index(1, 0), 0, ConsumeRec(0, 1, 0, 1))
+    assert(g.committedCount(g.index(1, 0)) == 2) // both drained
+    assert(g.rec(g.index(1, 0), 1) == ConsumeRec(0, 0, 0, 2))
   }
 
   test("done-marking waits for the committed prefix") {
-    val g = new Gcs
-    val doneEarly = g.commit(2, 0, 1, FlushRec, markDone = true) // buffered
+    val g = newGcs()
+    val doneEarly = g.commit(g.index(2, 0), 1, FlushRec, markDone = true) // buffered
     assert(!doneEarly)
-    assert(!g.channelDone((2, 0)))
-    val doneNow = g.commit(2, 0, 0, ConsumeRec(1, 0, 0, 3))
+    assert(!g.channelDone(g.index(2, 0)))
+    val doneNow = g.commit(g.index(2, 0), 0, ConsumeRec(1, 0, 0, 3))
     assert(doneNow) // flush drained, channel becomes done by this commit
-    assert(g.channelDone((2, 0)))
+    assert(g.channelDone(g.index(2, 0)))
   }
 
   test("markDone is idempotent and reports first-time transitions") {
-    val g = new Gcs
-    assert(g.markDone((3, 1)))
-    assert(!g.markDone((3, 1)))
-    assert(g.channelDone((3, 1)))
+    val g = newGcs()
+    assert(g.markDone(g.index(3, 1)))
+    assert(!g.markDone(g.index(3, 1)))
+    assert(g.channelDone(g.index(3, 1)))
   }
 
   test("channelLog returns records in sequence order") {
-    val g = new Gcs
-    g.commit(0, 2, 0, ReadRec(0))
-    g.commit(0, 2, 1, ReadRec(3))
-    g.commit(0, 2, 2, ReadRec(6))
-    assert(g.channelLog((0, 2)) == Vector(ReadRec(0), ReadRec(3), ReadRec(6)))
+    val g = newGcs()
+    g.commit(g.index(0, 2), 0, ReadRec(0))
+    g.commit(g.index(0, 2), 1, ReadRec(3))
+    g.commit(g.index(0, 2), 2, ReadRec(6))
+    assert(g.channelLog(g.index(0, 2)) == List(ReadRec(0), ReadRec(3), ReadRec(6)))
   }
 
   test("rec throws for uncommitted lineage") {
-    val g = new Gcs
-    assertThrows[NoSuchElementException](g.rec(0, 0, 0))
+    val g = newGcs()
+    assertThrows[NoSuchElementException](g.rec(g.index(0, 0), 0))
   }
 
   test("re-commit of an already-committed seq is a no-op (replay safety)") {
-    val g = new Gcs
-    g.commit(0, 0, 0, ReadRec(1))
-    g.commit(0, 0, 0, ReadRec(99)) // replayed duplicate
-    assert(g.rec(0, 0, 0) == ReadRec(1))
-    assert(g.committedCount((0, 0)) == 1)
+    val g = newGcs()
+    g.commit(g.index(0, 0), 0, ReadRec(1))
+    g.commit(g.index(0, 0), 0, ReadRec(99)) // replayed duplicate
+    assert(g.rec(g.index(0, 0), 0) == ReadRec(1))
+    assert(g.committedCount(g.index(0, 0)) == 1)
   }
 
   test("lineage is succinct: bytes per record stay constant-size") {
     // the §III-A naming-scheme claim: a consume record is two integers plus
     // the task name, independent of how many partitions it consumed
     assert(ConsumeRec(3, 7, 0, 1).byteSize == ConsumeRec(3, 7, 0, 100000).byteSize)
-    val g = new Gcs
-    for (s <- 0 until 1000) g.commit(4, 0, s, ConsumeRec(3, 0, s, 1))
+    val g = newGcs()
+    for (s <- 0 until 1000) g.commit(g.index(4, 0), s, ConsumeRec(3, 0, s, 1))
     assert(g.lineageBytes == 1000L * ConsumeRec(3, 0, 0, 1).byteSize)
     assert(g.lineageBytes < 32 * 1024, "per-channel lineage should be KB-sized")
   }
 
   test("transactions are counted for the overhead experiments") {
-    val g = new Gcs
-    g.commit(0, 0, 0, ReadRec(0))
-    g.markDone((0, 1))
+    val g = newGcs()
+    g.commit(g.index(0, 0), 0, ReadRec(0))
+    g.markDone(g.index(0, 1))
     assert(g.txns == 2)
   }
 }

@@ -26,8 +26,8 @@ class PushSpec extends AnyFunSuite {
   test("slices already consumed or already in a mailbox are not sent") {
     val e = engine(2)
     val Vector(d0, d1) = e.channels(1)
-    d0.consumed((0, 0)) = 1
-    d1.mailbox((0, 0, 0)) = slices(1)._2
+    d0.consumed(e.slot(0, 0)) = 1
+    d1.arrive(e.slot(0, 0), 0, slices(1)._2)
     val net = e.workers(0).net.freeAt
     assert(e.push(0, 2.0, 0, 0, 0, slices, epoch = 0) == 2.0)
     assert(e.sim.pendingEvents == 0)
@@ -37,13 +37,13 @@ class PushSpec extends AnyFunSuite {
 
   test("a consumer on the sending worker gets its slice without the NIC") {
     val e = engine(2)
-    e.channels(1)(1).mailbox((0, 0, 0)) = slices(1)._2
+    e.channels(1)(1).arrive(e.slot(0, 0), 0, slices(1)._2)
     val net = e.workers(0).net.freeAt
     assert(e.push(0, 2.0, 0, 0, 0, slices, epoch = 0) == 2.0 + 1e-6)
     assert(e.workers(0).net.freeAt == net)
     assert(e.metrics.shuffleBytes == sch.rowBytes)
     e.sim.run()
-    assert(e.channels(1)(0).mailbox.contains((0, 0, 0)))
+    assert(e.channels(1)(0).mailbox(e.slot(0, 0)).contains(0))
   }
 
   test("a consumer on a dead worker is skipped") {
@@ -53,7 +53,7 @@ class PushSpec extends AnyFunSuite {
     assert(e.sim.pendingEvents == 1) // only the same-worker slice to channel 0
     assert(e.metrics.shuffleBytes == sch.rowBytes)
     e.sim.run()
-    assert(!e.channels(1)(1).mailbox.contains((0, 0, 0)))
+    assert(!e.channels(1)(1).mailbox(e.slot(0, 0)).contains(0))
   }
 
   test("returns the last arrival time") {
@@ -63,6 +63,24 @@ class PushSpec extends AnyFunSuite {
     assert(last == e.workers(2).net.freeAt && last > 1.0)
     e.sim.run()
     assert(e.sim.now == last)
-    assert(e.channels(1)(0).mailbox.contains((0, 2, 0)) && e.channels(1)(1).mailbox.contains((0, 2, 0)))
+    assert(e.channels(1)(0).mailbox(e.slot(0, 2)).contains(0) && e.channels(1)(1).mailbox(e.slot(0, 2)).contains(0))
+  }
+
+  test("a mailbox tracks the run of arrived slices across arrival, truncation and rewind") {
+    val e = engine(2)
+    val d = e.channels(1)(0)
+    val p = e.slot(0, 1)
+    val rows = slices(0)._2
+    d.arrive(p, 1, rows)
+    assert(d.arrivedEnd(p) == 0) // seq 0 has not arrived
+    d.arrive(p, 0, rows)
+    d.arrive(p, 2, rows)
+    assert(d.arrivedEnd(p) == 3)
+    d.truncate(p, 1) // the producer was rewound with one committed output
+    assert(d.arrivedEnd(p) == 1 && d.mailbox(p).contains(0) && !d.mailbox(p).contains(1))
+    assert(!e.needsSlice(d, p, 0) && e.needsSlice(d, p, 1))
+    d.consumed(p) = 1
+    d.clearInputs() // the consumer itself was rewound
+    assert(d.arrivedEnd(p) == 0 && d.consumed(p) == 0 && !d.mailbox(p).contains(0))
   }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{SparkSpec, TestUtil}
-import repro.baselines.EngineRunner
+import repro.baselines.{EngineRunner, Systems}
 import repro.queries.{TpchData, TpchLite}
 
 /** Property: for any kill time and any victim, the recovered result equals
@@ -62,5 +62,32 @@ class RecoveryPropSpec extends SparkSpec {
         failures = Seq((1, ref.simSeconds * f1), (2, ref.simSeconds * f2)))
       TestUtil.canon(rr.rows) == refCanon
     }, 5)
+  }
+
+  test("16 workers: one or two kills of random victims, the second possibly during detection or planning (q3, q9)") {
+    val cfg16 = Systems.quokka(16)
+    import cfg16.cost.{detectS, planS}
+    for (q <- Vector(TpchLite.q3, TpchLite.q9)) {
+      val ref = EngineRunner.run(cfg16, q, t)
+      val refCanon = TestUtil.canon(ref.rows)
+      val gen = for {
+        v1 <- Gen.choose(0, 15)
+        f1 <- Gen.choose(0.05, 0.9)
+        v2 <- Gen.choose(1, 15).map(d => (v1 + d) % 16)
+        // the second kill: none, during detection, during planning, or later
+        second <- Gen.oneOf(
+          Gen.const(Option.empty[Double]),
+          Gen.choose(0.0, detectS).map(Some(_)),
+          Gen.choose(detectS, detectS + planS).map(Some(_)),
+          Gen.choose(detectS + planS, detectS + planS + ref.simSeconds).map(Some(_)))
+      } yield {
+        val t1 = ref.simSeconds * f1
+        (v1, t1) +: second.toSeq.map(d => (v2, t1 + d))
+      }
+      check(Prop.forAll(gen) { kills =>
+        val rr = EngineRunner.run(cfg16, q, t, failures = kills)
+        TestUtil.canon(rr.rows) == refCanon
+      }, 6)
+    }
   }
 }

@@ -121,7 +121,7 @@ class RecoverySpec extends SparkSpec {
     val q = TpchLite.q3
     val victim = 1
     def flushedOnVictim(e: Engine): Vector[Int] = e.channels(e.plan.last)
-      .filter(ch => ch.worker == victim && e.gcs.channelDone(ch.id)).map(_.ch)
+      .filter(ch => ch.worker == victim && e.gcs.channelDone(ch.idx)).map(_.ch)
     // kill at the first instant a final-stage channel of the victim is done
     val probe = new Engine(cfg, q.mkPlan(t), t.rows)
     var killAt = Double.NaN

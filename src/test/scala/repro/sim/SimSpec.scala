@@ -76,6 +76,45 @@ class SimSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](new Slots(0))
   }
 
+  test("20k random events fire like a stable sort by (clamped time, insertion seq)") {
+    final case class Ev(id: Int, time: Double, seq: Long)
+    val rng = new scala.util.Random(11)
+    val sim = new Sim
+    val scheduled = scala.collection.mutable.ArrayBuffer.empty[Ev]
+    val fired = scala.collection.mutable.ArrayBuffer.empty[Int]
+    var maxPending = 0
+    // times from a coarse grid, so many events share an instant; offsets
+    // below zero schedule into the past and are clamped to `now`
+    def schedule(): Unit = {
+      val id = scheduled.size
+      val t = if (sim.now == 0.0 && fired.isEmpty) rng.nextInt(40) * 0.25
+              else sim.now + (rng.nextInt(9) - 3) * 0.25
+      scheduled += Ev(id, math.max(t, sim.now), scheduled.size.toLong)
+      sim.at(t) {
+        assert(sim.now == scheduled(id).time)
+        fired += id
+        assert(sim.pendingEvents == scheduled.size - fired.size)
+        val children = rng.nextInt(4)
+        for (_ <- 0 until children if scheduled.size < 20000) schedule()
+        maxPending = math.max(maxPending, sim.pendingEvents)
+      }
+    }
+    for (_ <- 0 until 3000) schedule()
+    assert(sim.pendingEvents == 3000)
+    sim.run()
+    assert(scheduled.size == 20000 && sim.pendingEvents == 0)
+    assert(maxPending > 3000, "the heap never grew past its first fill")
+    val want = scheduled.sortWith { (a, b) =>
+      val c = java.lang.Double.compare(a.time, b.time)
+      c < 0 || (c == 0 && a.seq < b.seq)
+    }.map(_.id)
+    assert(fired == want)
+    // the queue is reusable once drained
+    sim.at(0.0)(fired += -1)
+    sim.run()
+    assert(fired.last == -1 && sim.pendingEvents == 0)
+  }
+
   test("pendingEvents reflects the queue") {
     val sim = new Sim
     sim.at(1.0)(())
