@@ -483,14 +483,7 @@ final class Engine(
     val slices = sliceUp(stage, out)
     val bytes = out.length.toLong * stage.schema.rowBytes
 
-    // replay-identity invariant: a replayed task must regenerate its output
-    val h2 = Rows.multisetHash(out)
-    outputHash(ch.idx)(mySeq) match {
-      case null => outputHash(ch.idx)(mySeq) = h2
-      case h =>
-        if (h.longValue != h2) throw new IllegalStateException(
-          s"replay divergence at (${ch.stage},${ch.ch},$mySeq): $h vs $h2 — lineage replay is broken")
-    }
+    checkOutput(ch.stage, ch.ch, mySeq, out, "replay")
 
     // persist: upstream backup to local disk, or spool to the reliable store
     var persistEnd = sim.now
@@ -533,6 +526,21 @@ final class Engine(
     scheduleCommit(ch, epoch, mySeq, rec, markDone, slices, commitAt)
   }
 
+  /** Replay identity: a task run again (`rerun`: a replay or a re-read)
+    * must regenerate the output whose hash its first run recorded.
+    */
+  private[core] def checkOutput(stage: Int, ch: Int, seq: Int, out: Array[R],
+                                rerun: String): Unit = {
+    val hashes = outputHash(gcs.index(stage, ch))
+    val h2 = Rows.multisetHash(out)
+    hashes(seq) match {
+      case null => hashes(seq) = h2
+      case h =>
+        if (h.longValue != h2) throw new IllegalStateException(
+          s"$rerun divergence at ($stage,$ch,$seq): $h vs $h2 — lineage replay is broken")
+    }
+  }
+
   private[core] def scheduleCommit(ch: ChannelRt, epoch: Int, mySeq: Int, rec: LineageRec,
                                    markDone: Boolean, slices: Vector[(Int, Array[R])],
                                    at: Double): Unit = {
@@ -550,8 +558,7 @@ final class Engine(
         if (ch.stage != plan.last || rec == FlushRec)
           push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
         // wake consumers (their inputs just became committed) and self
-        if (ch.stage != plan.last)
-          plan.consumers(ch.stage).foreach(cs => channels(cs).foreach(poke))
+        plan.consumers(ch.stage).foreach(cs => channels(cs).foreach(poke))
         poke(ch)
         maybeFinish()
       }
@@ -669,7 +676,7 @@ final class Engine(
     val sid = ch.stage
     stageDoneCount(sid) += 1
     if (stageDoneCount(sid) == C) onStageDone(sid)
-    if (sid != plan.last) plan.consumers(sid).foreach(cs => channels(cs).foreach(poke))
+    plan.consumers(sid).foreach(cs => channels(cs).foreach(poke))
     maybeFinish()
   }
 

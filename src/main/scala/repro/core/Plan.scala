@@ -81,6 +81,12 @@ final case class Plan(stages: Vector[Stage], name: String) {
   }
 }
 
+/** A column an input stage computes from a row of its table: a name, a
+  * type, the table columns it `reads`, and `f(row, at)`, where `at(k)` is
+  * the index of the k-th column read, resolved once when the plan is built.
+  */
+final case class Computed(name: String, ty: ColType, reads: String*)(val f: (R, Array[Int]) => Any)
+
 /** Imperative builder for tree-shaped plans. Partitioning keys of producer
   * stages are fixed when their consumer is declared (a producer partitions
   * its output by the consumer's key for that side).
@@ -95,16 +101,33 @@ final class PlanBuilder(val name: String) {
     buf.size - 1
   }
 
-  /** Input stage that keeps the columns `cols` of the rows of `table` that
-    * pass `keep`. Names and types come from the table's schema `src`; values
-    * are copied through an index array computed once, here.
+  /** Input stage that emits the columns `cols` of the rows of `table` that
+    * pass `keep`. Each column is the name of a column of the table's schema
+    * `src`, copied with its type, or a [[Computed]] column. All names,
+    * computed columns' `reads` included, are resolved to indices once,
+    * here: an unknown name, or a computed column named like a column of
+    * `src`, throws.
     */
-  def scan(table: String, src: Sch, cols: String*)(keep: R => Boolean): Int = {
-    val from = cols.map(src.idx).toArray
-    input(table, Sch(from.toVector.map(src.cols)))(PlanBuilder.filterProject(keep, { r =>
+  def scan(table: String, src: Sch, cols: Any*)(keep: R => Boolean): Int = {
+    val resolved = cols.map {
+      case n: String => val i = src.idx(n); (src.cols(i), i, null)
+      case c: Computed =>
+        require(!src.names.contains(c.name),
+          s"computed column ${c.name} shadows a column of $table in plan $name")
+        val at = c.reads.map(src.idx).toArray
+        ((c.name, c.ty), -1, (r: R) => c.f(r, at))
+      case other => throw new IllegalArgumentException(
+        s"scan column $other is neither a name nor a Computed in plan $name")
+    }
+    val from = resolved.map(_._2).toArray
+    val get = resolved.map(_._3).toArray
+    input(table, Sch(resolved.map(_._1).toVector))(PlanBuilder.filterProject(keep, { r =>
       val o = new Array[Any](from.length)
       var j = 0
-      while (j < from.length) { o(j) = PlanBuilder.rebox(r(from(j))); j += 1 }
+      while (j < from.length) {
+        o(j) = if (get(j) == null) PlanBuilder.rebox(r(from(j))) else get(j)(r)
+        j += 1
+      }
       o
     }))
   }
@@ -171,7 +194,7 @@ final class PlanBuilder(val name: String) {
 
 object PlanBuilder {
   /** Input kernel that maps the rows passing `keep` through `project`. */
-  def filterProject(keep: R => Boolean, project: R => R): Array[R] => Array[R] =
+  private[core] def filterProject(keep: R => Boolean, project: R => R): Array[R] => Array[R] =
     batch => {
       val out = mutable.ArrayBuffer.empty[R]
       var i = 0

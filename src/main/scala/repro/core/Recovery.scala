@@ -166,10 +166,7 @@ object Recovery {
       case other => throw new IllegalStateException(s"input lineage of $p is $other")
     }
     val (out, cpu) = e.runInput(stage, e.inputBatches(us)(batchIdx))
-    val h = Rows.multisetHash(out)
-    Option(e.outputHash(i)(s)).foreach { prev =>
-      if (prev.longValue != h) throw new IllegalStateException(s"re-read divergence at $p")
-    }
+    e.checkOutput(us, uc, s, out, "re-read")
     val slices = e.sliceUp(stage, out)
     val bytes = out.length.toLong * stage.schema.rowBytes
     val w = e.workers(worker)

@@ -59,20 +59,33 @@ final case class Q(
   * structure follow the TPC-H originals, with ORDER BY/LIMIT dropped
   * (results are compared as sorted multisets).
   *
-  * A scan or join that only selects columns is a [[PlanBuilder.scan]] or
-  * [[PlanBuilder.joinOn]], which state its columns once, by name. The rest
-  * stay hand-written `input`/`join` stages because a name list cannot say
-  * what they do: scans that compute a value (the `rev4` revenue, a `year`,
-  * `c2` cents, a flag) or pre-aggregate (Q1, Q6), and joins that apply a
-  * residual predicate (Q5, Q7, Q19), compute a value (Q14) or use a
+  * Scans are [[PlanBuilder.scan]]s and column-selecting joins are
+  * [[PlanBuilder.joinOn]]s, which state their columns once, by name; a
+  * scan's computed columns (`rev`, `qty`, the years, `cost`, the `hi` and
+  * `promo` flags) are [[Computed]] columns defined once below. Stages stay
+  * hand-written where a name list cannot say what they do: Q1's and Q6's
+  * pre-aggregating scans, and the joins with a residual predicate (Q5, Q7,
+  * Q19; by name, Q5 would change its partitioning key and Q7 would need
+  * `n_name` from both sides), a two-sided value (Q14, Q9's `amount`) or a
   * composite key (Q9's partsupp join). Intermediate columns keep their
   * source names; only the final aggregation names the result columns.
   */
 object TpchLite {
   import Money.{c2, charge6, rev4}
-  import PlanBuilder.filterProject
 
   private def S(cols: (String, ColType)*): Sch = Sch.of(cols: _*)
+
+  private val rev = Computed("rev", CLong, "l_extendedprice", "l_discount")(
+    (r, at) => rev4(dbl(r, at(0)), dbl(r, at(1))))
+  private val qty = Computed("qty", CLong, "l_quantity")((r, at) => math.round(dbl(r, at(0))))
+  private val lYear = Computed("l_year", CLong, "l_shipdate")((r, at) => year(str(r, at(0))))
+  private val oYear = Computed("o_year", CLong, "o_orderdate")((r, at) => year(str(r, at(0))))
+  private val cost = Computed("cost", CLong, "ps_supplycost")((r, at) => c2(dbl(r, at(0))))
+  private val hi = Computed("hi", CLong, "o_orderpriority") { (r, at) =>
+    val p = str(r, at(0)); if (p == "1-URGENT" || p == "2-HIGH") 1L else 0L
+  }
+  private val promo = Computed("promo", CLong, "p_type")(
+    (r, at) => if (str(r, at(0)) == "PROMO") 1L else 0L)
 
   /** Simple sum-aggregation stage: group by `keyIdx` columns, sum the Long
     * columns `accIdx`.
@@ -180,16 +193,13 @@ object TpchLite {
       |GROUP BY l_orderkey, o_orderdate""".stripMargin,
     mkPlan = { t =>
       val Cu = t.sch("customer"); val O = t.sch("orders"); val L = t.sch("lineitem")
-      val (seg, odate) = (Cu.idx("c_mktsegment"), O.idx("o_orderdate"))
+      val (seg, odate, ship) = (Cu.idx("c_mktsegment"), O.idx("o_orderdate"), L.idx("l_shipdate"))
       val b = new PlanBuilder("q3")
       val cu = b.scan("customer", Cu, "c_custkey")(r => str(r, seg) == "BUILDING")
       val od = b.scan("orders", O, "o_orderkey", "o_custkey", "o_orderdate")(
         r => str(r, odate) < "1995-03-15")
       val j1 = b.joinOn(cu, od, "c_custkey" -> "o_custkey", "o_orderkey", "o_orderdate")
-      val li = b.input("lineitem", S("l_orderkey" -> CLong, "rev" -> CLong))(filterProject(
-        r => str(r, L.idx("l_shipdate")) > "1995-03-15",
-        r => Array[Any](lng(r, L.idx("l_orderkey")),
-          rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
+      val li = b.scan("lineitem", L, "l_orderkey", rev)(r => str(r, ship) > "1995-03-15")
       val j2 = b.joinOn(j1, li, "o_orderkey" -> "l_orderkey", "l_orderkey", "o_orderdate", "rev")
       sumAgg(b, j2, Vector(0, 1), Vector(2),
         S("l_orderkey" -> CLong, "o_orderdate" -> CString, "revenue" -> CDouble)) { (k, a) =>
@@ -211,12 +221,9 @@ object TpchLite {
     mkPlan = { t =>
       val Cu = t.sch("customer"); val O = t.sch("orders")
       val L = t.sch("lineitem"); val N = t.sch("nation")
-      val odate = O.idx("o_orderdate")
+      val (odate, rflag) = (O.idx("o_orderdate"), L.idx("l_returnflag"))
       val b = new PlanBuilder("q10")
-      val li = b.input("lineitem", S("l_orderkey" -> CLong, "rev" -> CLong))(filterProject(
-        r => str(r, L.idx("l_returnflag")) == "R",
-        r => Array[Any](lng(r, L.idx("l_orderkey")),
-          rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
+      val li = b.scan("lineitem", L, "l_orderkey", rev)(r => str(r, rflag) == "R")
       val od = b.scan("orders", O, "o_orderkey", "o_custkey")(
         r => { val d = str(r, odate); d >= "1993-10-01" && d < "1994-01-01" })
       val j1 = b.joinOn(od, li, "o_orderkey" -> "l_orderkey", "o_custkey", "rev")
@@ -256,10 +263,7 @@ object TpchLite {
       val od = b.scan("orders", O, "o_orderkey", "o_custkey")(
         r => { val d = str(r, odate); d >= "1994-01-01" && d < "1995-01-01" })
       val j3 = b.joinOn(j2, od, "c_custkey" -> "o_custkey", "o_orderkey", "n_nationkey", "n_name")
-      val li = b.input("lineitem", S("l_orderkey" -> CLong, "l_suppkey" -> CLong, "rev" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, L.idx("l_orderkey")),
-          lng(r, L.idx("l_suppkey")),
-          rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
+      val li = b.scan("lineitem", L, "l_orderkey", "l_suppkey", rev)(_ => true)
       val j4 = b.joinOn(j3, li, "o_orderkey" -> "l_orderkey",
         "l_suppkey", "n_nationkey", "n_name", "rev")
       val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
@@ -292,19 +296,14 @@ object TpchLite {
       val Su = t.sch("supplier"); val L = t.sch("lineitem"); val O = t.sch("orders")
       val Cu = t.sch("customer"); val N = t.sch("nation")
       val NA = "NATION_07"; val NB = "NATION_08"
-      val nname = N.idx("n_name")
+      val (nname, ship) = (N.idx("n_name"), L.idx("l_shipdate"))
       val either: R => Boolean = r => { val n = str(r, nname); n == NA || n == NB }
       val b = new PlanBuilder("q7")
       val n1 = b.scan("nation", N, "n_nationkey", "n_name")(either)
       val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
       val j1 = b.joinOn(n1, su, "n_nationkey" -> "s_nationkey", "s_suppkey", "n_name")
-      val li = b.input("lineitem",
-        S("l_suppkey" -> CLong, "l_orderkey" -> CLong, "l_year" -> CLong, "rev" -> CLong))(
-        filterProject(
-          r => { val d = str(r, L.idx("l_shipdate")); d >= "1995-01-01" && d <= "1996-12-31" },
-          r => Array[Any](lng(r, L.idx("l_suppkey")), lng(r, L.idx("l_orderkey")),
-            year(str(r, L.idx("l_shipdate"))),
-            rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
+      val li = b.scan("lineitem", L, "l_suppkey", "l_orderkey", lYear, rev)(
+        r => { val d = str(r, ship); d >= "1995-01-01" && d <= "1996-12-31" })
       val j2 = b.joinOn(j1, li, "s_suppkey" -> "l_suppkey", "l_orderkey", "n_name", "l_year", "rev")
       val od = b.scan("orders", O, "o_orderkey", "o_custkey")(_ => true)
       val j3 = b.joinOn(j2, od, "l_orderkey" -> "o_orderkey", "o_custkey", "n_name", "l_year", "rev")
@@ -347,22 +346,15 @@ object TpchLite {
       val P = t.sch("part"); val Su = t.sch("supplier"); val L = t.sch("lineitem")
       val O = t.sch("orders"); val Cu = t.sch("customer"); val N = t.sch("nation")
       val Re = t.sch("region")
-      val (ptype, rname) = (P.idx("p_type"), Re.idx("r_name"))
+      val (ptype, rname, odate) = (P.idx("p_type"), Re.idx("r_name"), O.idx("o_orderdate"))
       val b = new PlanBuilder("q8")
       val pa = b.scan("part", P, "p_partkey")(r => str(r, ptype) == "ECONOMY")
-      val li = b.input("lineitem",
-        S("l_partkey" -> CLong, "l_suppkey" -> CLong, "l_orderkey" -> CLong, "rev" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, L.idx("l_partkey")),
-          lng(r, L.idx("l_suppkey")), lng(r, L.idx("l_orderkey")),
-          rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
+      val li = b.scan("lineitem", L, "l_partkey", "l_suppkey", "l_orderkey", rev)(_ => true)
       val j1 = b.joinOn(pa, li, "p_partkey" -> "l_partkey", "l_suppkey", "l_orderkey", "rev")
       val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
       val j2 = b.joinOn(j1, su, "l_suppkey" -> "s_suppkey", "l_orderkey", "rev", "s_nationkey")
-      val od = b.input("orders", S("o_orderkey" -> CLong, "o_custkey" -> CLong, "o_year" -> CLong))(
-        filterProject(
-          r => { val d = str(r, O.idx("o_orderdate")); d >= "1995-01-01" && d <= "1996-12-31" },
-          r => Array[Any](lng(r, O.idx("o_orderkey")), lng(r, O.idx("o_custkey")),
-            year(str(r, O.idx("o_orderdate"))))))
+      val od = b.scan("orders", O, "o_orderkey", "o_custkey", oYear)(
+        r => { val d = str(r, odate); d >= "1995-01-01" && d <= "1996-12-31" })
       val j3 = b.joinOn(j2, od, "l_orderkey" -> "o_orderkey",
         "o_custkey", "rev", "s_nationkey", "o_year")
       val cu = b.scan("customer", Cu, "c_custkey", "c_nationkey")(_ => true)
@@ -404,31 +396,20 @@ object TpchLite {
       val ptype = P.idx("p_type")
       val b = new PlanBuilder("q9")
       val pa = b.scan("part", P, "p_partkey")(r => str(r, ptype) == "PROMO")
-      val li = b.input("lineitem",
-        S("l_partkey" -> CLong, "l_suppkey" -> CLong, "l_orderkey" -> CLong,
-          "qty" -> CLong, "rev" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, L.idx("l_partkey")),
-          lng(r, L.idx("l_suppkey")), lng(r, L.idx("l_orderkey")),
-          math.round(dbl(r, L.idx("l_quantity"))),
-          rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
+      val li = b.scan("lineitem", L, "l_partkey", "l_suppkey", "l_orderkey", qty, rev)(_ => true)
       val j1 = b.joinOn(pa, li, "p_partkey" -> "l_partkey",
         "l_partkey", "l_suppkey", "l_orderkey", "qty", "rev")
       val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
       val j2 = b.joinOn(j1, su, "l_suppkey" -> "s_suppkey",
         "l_partkey", "l_suppkey", "l_orderkey", "qty", "rev", "s_nationkey")
-      val ps = b.input("partsupp",
-        S("ps_partkey" -> CLong, "ps_suppkey" -> CLong, "cost" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, Ps.idx("ps_partkey")),
-          lng(r, Ps.idx("ps_suppkey")), c2(dbl(r, Ps.idx("ps_supplycost"))))))
+      val ps = b.scan("partsupp", Ps, "ps_partkey", "ps_suppkey", cost)(_ => true)
       val j3 = b.join(j2, ps,
         r => (lng(r, 0), lng(r, 1)), r => (lng(r, 0), lng(r, 1)),
         S("l_orderkey" -> CLong, "s_nationkey" -> CLong, "amount" -> CLong)) { (a, p) =>
         val amount = lng(a, 4) - lng(p, 2) * lng(a, 3) * 100L
         Array[Any](lng(a, 2), lng(a, 5), amount)
       }
-      val od = b.input("orders", S("o_orderkey" -> CLong, "o_year" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, O.idx("o_orderkey")),
-          year(str(r, O.idx("o_orderdate"))))))
+      val od = b.scan("orders", O, "o_orderkey", oYear)(_ => true)
       val j4 = b.joinOn(j3, od, "l_orderkey" -> "o_orderkey", "s_nationkey", "o_year", "amount")
       val na = b.scan("nation", N, "n_nationkey", "n_name")(_ => true)
       val j5 = b.joinOn(j4, na, "s_nationkey" -> "n_nationkey", "n_name", "o_year", "amount")
@@ -463,12 +444,7 @@ object TpchLite {
         (m == "MAIL" || m == "SHIP") && cd < rd && sd < cd &&
           rd >= "1994-01-01" && rd < "1995-01-01"
       }
-      val od = b.input("orders", S("o_orderkey" -> CLong, "hi" -> CLong))(
-        filterProject(_ => true, r => {
-          val p = str(r, O.idx("o_orderpriority"))
-          Array[Any](lng(r, O.idx("o_orderkey")),
-            if (p == "1-URGENT" || p == "2-HIGH") 1L else 0L)
-        }))
+      val od = b.scan("orders", O, "o_orderkey", hi)(_ => true)
       val j1 = b.joinOn(li, od, "l_orderkey" -> "o_orderkey", "l_shipmode", "hi")
       val out = S("l_shipmode" -> CString, "high_line_count" -> CLong, "low_line_count" -> CLong)
       b.agg(j1, key = r => Vector(r(0)), keyOut = r => Vector(r(0)), nAccs = 2, out) {
@@ -488,14 +464,11 @@ object TpchLite {
       |HAVING COUNT(*) > 0""".stripMargin,
     mkPlan = { t =>
       val L = t.sch("lineitem"); val P = t.sch("part")
+      val ship = L.idx("l_shipdate")
       val b = new PlanBuilder("q14")
-      val li = b.input("lineitem", S("l_partkey" -> CLong, "rev" -> CLong))(filterProject(
-        r => { val d = str(r, L.idx("l_shipdate")); d >= "1995-09-01" && d < "1995-10-01" },
-        r => Array[Any](lng(r, L.idx("l_partkey")),
-          rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
-      val pa = b.input("part", S("p_partkey" -> CLong, "promo" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, P.idx("p_partkey")),
-          if (str(r, P.idx("p_type")) == "PROMO") 1L else 0L)))
+      val li = b.scan("lineitem", L, "l_partkey", rev)(
+        r => { val d = str(r, ship); d >= "1995-09-01" && d < "1995-10-01" })
+      val pa = b.scan("part", P, "p_partkey", promo)(_ => true)
       val j1 = b.join(pa, li, r => lng(r, 0), r => lng(r, 0),
         S("promoRev" -> CLong, "rev" -> CLong)) { (p, l) =>
         val rev = lng(l, 1)
@@ -520,10 +493,7 @@ object TpchLite {
     mkPlan = { t =>
       val L = t.sch("lineitem"); val P = t.sch("part")
       val b = new PlanBuilder("q19")
-      val li = b.input("lineitem", S("l_partkey" -> CLong, "qty" -> CLong, "rev" -> CLong))(
-        filterProject(_ => true, r => Array[Any](lng(r, L.idx("l_partkey")),
-          math.round(dbl(r, L.idx("l_quantity"))),
-          rev4(dbl(r, L.idx("l_extendedprice")), dbl(r, L.idx("l_discount"))))))
+      val li = b.scan("lineitem", L, "l_partkey", qty, rev)(_ => true)
       val pa = b.scan("part", P, "p_partkey", "p_type", "p_size")(_ => true)
       val j1 = b.join(pa, li, r => lng(r, 0), r => lng(r, 0),
         S("rev" -> CLong)) { (p, l) =>

@@ -73,6 +73,54 @@ class PlanSpec extends AnyFunSuite {
       Vector(Vector(1.5, 1L), Vector(3.5, 3L)))
   }
 
+  /** `price` in cents, computed from the `src` row. */
+  private val cents = Computed("cents", CLong, "price")((r, at) => Money.c2(Rows.dbl(r, at(0))))
+
+  private def fuse(p: Plan, s: Int): Array[R] => Array[R] = p.stages(s).op.asInstanceOf[InputOp].fuse
+
+  test("scan mixes table and computed columns like the equivalent hand-written input") {
+    val keep: R => Boolean = r => Rows.lng(r, 0) != 2L
+    def plan(named: Boolean): Plan = {
+      val b = new PlanBuilder("t")
+      val s =
+        if (named) b.scan("a", src, "name", cents, "id")(keep)
+        else b.input("a", Sch.of("name" -> CString, "cents" -> CLong, "id" -> CLong))(
+          PlanBuilder.filterProject(keep,
+            r => Array[Any](Rows.str(r, 1), Money.c2(Rows.dbl(r, 2)), Rows.lng(r, 0))))
+      mkAgg(b, s)
+      b.build()
+    }
+    val (named, byHand) = (plan(named = true), plan(named = false))
+    assert(named.stages(0).schema == byHand.stages(0).schema)
+    def out(p: Plan) = fuse(p, 0)(srcRows).toVector.map(_.toVector.map(v => (v, v.getClass)))
+    assert(out(named).map(_.map(_._1)) == Vector(Vector("a", 150L, 1L), Vector("c", 350L, 3L)))
+    assert(out(named) == out(byHand))
+  }
+
+  test("scan gives each output row boxes of its own") {
+    val rows: Array[R] = Array(Array[Any](1000L, "a", 1.25), Array[Any](2000L, "b", 2.5))
+    val b = new PlanBuilder("t")
+    val s = b.scan("a", src, "price", "id", cents)(_ => true)
+    mkAgg(b, s)
+    val out = fuse(b.build(), s)(rows)
+    assert(out.map(_.toVector).toVector == Vector(Vector(1.25, 1000L, 125L), Vector(2.5, 2000L, 250L)))
+    for ((o, r) <- out.zip(rows); v <- o; w <- r)
+      assert(!(v.asInstanceOf[AnyRef] eq w.asInstanceOf[AnyRef]), s"$v shares its box with the table row")
+  }
+
+  private def scanOf(cols: Any*): Unit = new PlanBuilder("t").scan("a", src, cols: _*)(_ => true)
+
+  test("scan rejects an unknown column name when the plan is built") {
+    scanOf("id", cents)
+    assertThrows[NoSuchElementException](scanOf("id", "missing"))
+    assertThrows[NoSuchElementException](scanOf("id", Computed("x", CLong, "missing")((r, at) => r(at(0)))))
+    assertThrows[IllegalArgumentException](scanOf("id", 3))
+  }
+
+  test("scan rejects a computed column named like a column of the table") {
+    assertThrows[IllegalArgumentException](scanOf("id", Computed("price", CLong, "id")((r, at) => r(at(0)))))
+  }
+
   test("joinOn emits the rows of the equivalent hand-written join") {
     val other = Sch.of("ref" -> CLong, "qty" -> CLong)
     val otherRows: Array[R] =
