@@ -98,6 +98,19 @@ class EngineBasicSpec extends SparkSpec {
     assert(rr.metrics.shuffleBytes > 0)
   }
 
+  test("input channel c reads batches c, c + C, ...; a channel with no batch is done with an empty log") {
+    val data = Map("a" -> rowsOf((1L to 10L).map(i => (i, i)): _*)) // 5 batches of 2 rows
+    for (w <- Seq(2, 3, 8)) {
+      val e = new Engine(cfg.copy(workers = w), aggPlan, data)
+      e.run()
+      for (c <- 0 until w) {
+        val i = e.gcs.index(0, c)
+        assert(e.gcs.channelLog(i) == (c until 5 by w).map(ReadRec).toList, s"workers=$w channel $c")
+        assert(e.gcs.channelDone(i), s"workers=$w channel $c not done")
+      }
+    }
+  }
+
   test("the simulated clock advances monotonically with more data") {
     val small = Map("a" -> rowsOf((1L to 10L).map(i => (i, i)): _*))
     val big = Map("a" -> rowsOf((1L to 2000L).map(i => (i, i)): _*))

@@ -6,9 +6,11 @@ import repro.queries.{TpchData, TpchLite}
 
 /** Bit-identity gate for the simulated numbers. For each representative
   * query at SF 0.005 it pins the raw bits of the simulated clock, every
-  * [[Metrics]] counter and the GCS telemetry, under four systems: clean
+  * [[Metrics]] counter and the GCS telemetry, under five systems: clean
   * 4-worker Quokka, 16-worker Quokka and 4-worker Spark-like with worker 1
-  * killed at 50% of the clean run, and clean 4-worker S3 spooling. A
+  * killed at 50% of the clean run, and 4-worker S3 spooling, clean and
+  * with worker 1 killed at 50% (spooled recovery fetches every lost
+  * partition from the store). A
   * change to the engine's control state that keeps the event order and
   * the arithmetic leaves every line unchanged; a change that means to move
   * these numbers re-records them and says why.
@@ -35,9 +37,13 @@ class GoldenSpec extends SparkSpec {
     ("quokka-16 kill", Systems.quokka(16), true),
     ("spark-like-4 kill", Systems.sparkLike(4), true),
     ("quokka-spool-4 clean", Systems.quokkaSpool(4), false),
+    ("quokka-spool-4 kill", Systems.quokkaSpool(4), true),
   )
 
-  /** Recorded at the commit before the control state became dense. */
+  /** Recorded at the commit before the control state became dense; the
+    * spool-kill lines at the commit before task bookkeeping was derived
+    * from the (stage, channel, seq) name.
+    */
   private val recordedHeader = "query sim abortedTasks backupBytes ckptBytes recoveredPartitions " +
     "replayTasks repushJobs rereadJobs rewoundChannels shuffleBytes spoolBytes tasks txns lineageBytes"
   private val golden: Map[String, Vector[String]] = Map(
@@ -80,6 +86,16 @@ class GoldenSpec extends SparkSpec {
       "q7 4613657468140723971 0 0 0 0 0 0 0 0 590144 590144 251 283 4896",
       "q8 4618977613881214950 0 0 0 0 0 0 0 0 1780632 1780632 533 579 10528",
       "q9 4617526844768161213 0 0 0 0 0 0 0 0 2268632 2268632 392 423 7712",
+    ),
+    "quokka-spool-4 kill" -> Vector(
+      "q1 4613993296958982821 1 0 0 8 0 0 0 2 8544 8544 37 36 628",
+      "q6 4613986289767380780 1 0 0 8 0 0 0 2 256 256 37 36 628",
+      "q3 4616937875012006429 1 0 0 52 6 0 0 6 692464 699152 139 139 2448",
+      "q10 4617579958072721140 0 0 0 88 13 0 0 8 319864 320800 220 220 3924",
+      "q5 4619658776927696150 0 0 0 141 22 0 0 12 1076288 1078768 321 321 5656",
+      "q7 4618658203498347622 0 0 0 125 18 0 0 12 602672 606224 277 278 4796",
+      "q8 4622321806692572012 0 0 0 221 49 0 0 16 1804824 1880168 524 511 9168",
+      "q9 4621306518263213717 0 0 0 136 26 0 0 12 2285344 2389888 396 393 7112",
     ),
   )
 
