@@ -101,9 +101,11 @@ object Fig10 {
     val rows = recovery(t, 16)
     println(table("Fig 10a: recovery overhead, 16 workers, kill at 50%",
       Seq("query", "cat", "Quokka", "SparkSQL", "restart baseline"),
-      rows.map(r => Seq(r.q.id, r.q.cat, fmt(r.quokkaOverhead), fmt(r.sparkOverhead), "1.50"))))
+      rows.map(r => Seq(r.q.id, r.q.cat, fmt(r.quokkaOverhead), fmt(r.sparkOverhead),
+        fmt(r.restartBaseline)))))
     println(f"geomean overhead: Quokka ${geomean(rows.map(_.quokkaOverhead))}%.3fx, " +
-      f"Spark ${geomean(rows.map(_.sparkOverhead))}%.3fx")
+      f"Spark ${geomean(rows.map(_.sparkOverhead))}%.3fx, " +
+      f"restart ${geomean(rows.map(_.restartBaseline))}%.3fx")
     val sweep = killSweep(t, 16)
     println(table("Fig 10b: Q9 kill-point sweep, 16 workers",
       Seq("kill at", "Quokka overhead", "Spark overhead", "Quokka e2e (s)", "Spark e2e (s)"),
@@ -124,11 +126,12 @@ object Fig11 {
       f"vs Trino: ${geomean(rows.map(_.vsTrino))}%.2fx")
     val rec = recovery(t, 32)
     println(table("Fig 11b: recovery overhead, 32 workers, kill at 50%",
-      Seq("query", "cat", "Quokka", "SparkSQL", "Quokka e2e", "Spark e2e"),
+      Seq("query", "cat", "Quokka", "SparkSQL", "restart baseline", "Quokka e2e", "Spark e2e"),
       rec.map(r => Seq(r.q.id, r.q.cat, fmt(r.quokkaOverhead), fmt(r.sparkOverhead),
-        fmt(r.quokkaFail), fmt(r.sparkFail)))))
+        fmt(r.restartBaseline), fmt(r.quokkaFail), fmt(r.sparkFail)))))
     println(f"geomean overhead: Quokka ${geomean(rec.map(_.quokkaOverhead))}%.3fx, " +
-      f"Spark ${geomean(rec.map(_.sparkOverhead))}%.3fx")
+      f"Spark ${geomean(rec.map(_.sparkOverhead))}%.3fx, " +
+      f"restart ${geomean(rec.map(_.restartBaseline))}%.3fx")
   }
 }
 

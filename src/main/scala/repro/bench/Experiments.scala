@@ -110,12 +110,14 @@ object Experiments {
 
   // ----------------------------------------------------------- Fig 10 / 11b
 
+  /** `restartBaseline` is a restart's overhead: the run up to the kill,
+    * failure detection, then a clean run, over a clean Quokka run.
+    */
   final case class RecoveryRow(
-    q: Q, quokkaClean: Double, quokkaFail: Double, sparkClean: Double, sparkFail: Double) {
+    q: Q, quokkaClean: Double, quokkaFail: Double, sparkClean: Double, sparkFail: Double,
+    restartBaseline: Double) {
     def quokkaOverhead: Double = quokkaFail / quokkaClean
     def sparkOverhead: Double = sparkFail / sparkClean
-    /** Restarting on the surviving workers after a 50% failure. */
-    def restartBaseline: Double = 1.5
   }
 
   /** Kill one worker at `frac` of the clean runtime; overhead = failed
@@ -132,7 +134,7 @@ object Experiments {
     val victim = 1 % workers
     val qFail = EngineRunner.run(qCfg, q, t, failures = Seq((victim, qClean * frac))).simSeconds
     val sFail = EngineRunner.run(sCfg, q, t, failures = Seq((victim, sClean * frac))).simSeconds
-    RecoveryRow(q, qClean, qFail, sClean, sFail)
+    RecoveryRow(q, qClean, qFail, sClean, sFail, 1 + frac + qCfg.cost.detectS / qClean)
   }
 
   /** Fig 10b: Q9 killed at varying points. */

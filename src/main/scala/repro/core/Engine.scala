@@ -69,7 +69,7 @@ private[core] final class JoinState {
 }
 
 private[core] final class AggState {
-  val m = mutable.LinkedHashMap.empty[Any, (Vector[Any], Array[Long])]
+  val m = mutable.LinkedHashMap.empty[Vector[Any], Array[Long]]
   var rows = 0L
 }
 
@@ -91,8 +91,6 @@ private[core] final class ChannelRt(val stage: Int, val ch: Int, val idx: Int, u
   val mailbox = Array.fill(ups)(new SeqBuf[Array[R]])
   /** End of the run of arrived slices that starts at `consumed(p)`. */
   val arrivedEnd = new Array[Int](ups)
-  var myBatches: Vector[Int] = Vector.empty
-  var cursor = 0
   var join: JoinState = null
   var agg: AggState = null
   /** Logged lineage still to replay after a rewind; the head is task `seq`. */
@@ -193,25 +191,24 @@ final class Engine(
       ch
     })
 
-  /** Global, replayable input batches per input stage ("files on S3"). */
-  private[core] val inputBatches: Map[Int, Vector[Array[R]]] = plan.stages.collect {
-    case Stage(id, InputOp(table, _), _, _, _) =>
+  /** Global, replayable input batches by stage id ("files on S3"; empty
+    * for stateful stages). Input channel c's task seq reads batch
+    * seq * C + c.
+    */
+  private[core] val inputBatches: Vector[Vector[Array[R]]] = plan.stages.map {
+    case Stage(_, InputOp(table, _), _, _, _) =>
       val rows = tables.getOrElse(table, throw new NoSuchElementException(s"table $table missing"))
-      id -> rows.grouped(cfg.inputBatchRows).toVector
-  }.toMap
-
-  // assign batches round-robin to input channels
-  for ((sid, batches) <- inputBatches; c <- 0 until C) {
-    channels(sid)(c).myBatches = batches.indices.filter(_ % C == c).toVector
+      rows.grouped(cfg.inputBatchRows).toVector
+    case _ => Vector.empty
   }
 
   /** Unreliable producer-local backups, by channel index and seq:
-    * (worker, slices, bytes).
+    * (worker, slices by consumer channel, bytes).
     */
   private[core] val backups =
-    Vector.fill(plan.stages.size * C)(new SeqBuf[(Int, Vector[(Int, Array[R])], Long)])
+    Vector.fill(plan.stages.size * C)(new SeqBuf[(Int, Array[Array[R]], Long)])
   /** Reliable spooled partitions (survive any worker failure). */
-  private[core] val spool = Vector.fill(plan.stages.size * C)(new SeqBuf[(Vector[(Int, Array[R])], Long)])
+  private[core] val spool = Vector.fill(plan.stages.size * C)(new SeqBuf[(Array[Array[R]], Long)])
   /** Content digest of each task's output — replay-identity invariant. */
   private[core] val outputHash = Vector.fill(plan.stages.size * C)(new SeqBuf[java.lang.Long])
   /** Tasks whose downstream push hit a dead worker: commit withheld
@@ -220,7 +217,7 @@ final class Engine(
   private[core] val held = mutable.ArrayBuffer.empty[HeldTask]
   private[core] final case class HeldTask(
     stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
-    slices: Vector[(Int, Array[R])], readyAt: Double, markDone: Boolean)
+    slices: Array[Array[R]], readyAt: Double)
 
   private[core] var barrier = false
   private var finished = false
@@ -229,7 +226,6 @@ final class Engine(
   private val collectRows = mutable.ArrayBuffer.empty[R]
   private val stageReady = Array.tabulate(plan.stages.size)(s =>
     cfg.mode == Pipelined || plan.stages(s).upstreams.isEmpty)
-  private val stageDoneCount = Array.fill(plan.stages.size)(0)
   private[core] val rng = new scala.util.Random(cfg.seed)
   /** GCS latency of a lineage commit; static lineage is known up front. */
   private[core] val commitLatS: Double = if (cfg.staticLineage) 0.0 else cost.gcsTxnS
@@ -273,12 +269,16 @@ final class Engine(
     }
     if (!stageReady(ch.stage)) return
     if (!stageOf(ch.stage).stateful) {
-      if (ch.cursor < ch.myBatches.size) launchInputTask(ch)
+      val b = ch.seq * C + ch.ch
+      if (b < inputBatches(ch.stage).size) {
+        val (out, cpu) = runInput(stageOf(ch.stage), inputBatches(ch.stage)(b))
+        finishTask(ch, ReadRec(b), out, cpu)
+      }
     } else if (pollGateOpen(ch)) pickConsume(ch) match {
       case Some(rec) =>
         ch.nextPollAt = sim.now + cost.pollIntervalS
-        runConsume(ch, rec, replayMode = false)
-      case None => if (ch.agg != null && readyToFlush(ch)) runFlush(ch, replayMode = false)
+        runConsume(ch, rec)
+      case None => if (ch.agg != null && readyToFlush(ch)) runFlush(ch)
     }
   }
 
@@ -390,29 +390,21 @@ final class Engine(
     var i = 0
     while (i < rows.length) {
       val r = rows(i)
-      val k = op.key(r)
-      val slot = st.m.getOrElseUpdate(k, { st.rows += 1; (op.keyOut(r), new Array[Long](op.nAccs)) })
-      op.update(slot._2, r)
+      val accs = st.m.getOrElseUpdate(op.key(r), { st.rows += 1; new Array[Long](op.nAccs) })
+      op.update(accs, r)
       i += 1
     }
   }
 
   private def runFlushKernel(ch: ChannelRt, op: AggOp): Array[R] =
-    ch.agg.m.valuesIterator.map { case (keys, accs) => op.finish(keys, accs) }.toArray
+    ch.agg.m.iterator.map { case (keys, accs) => op.finish(keys, accs) }.toArray
 
   // --------------------------------------------------------------- launches
-
-  private def launchInputTask(ch: ChannelRt): Unit = {
-    val bi = ch.myBatches(ch.cursor)
-    ch.cursor += 1
-    val (out, cpu) = runInput(stageOf(ch.stage), inputBatches(ch.stage)(bi))
-    finishTask(ch, ReadRec(bi), out, cpu, replayMode = false)
-  }
 
   /** Consume task body, shared by first execution and replay: take the
     * slices `rec` names out of the mailbox and run the stage's kernel.
     */
-  private def runConsume(ch: ChannelRt, rec: ConsumeRec, replayMode: Boolean): Unit = {
+  private def runConsume(ch: ChannelRt, rec: ConsumeRec): Unit = {
     val p = slot(rec.uStage, rec.uCh)
     val rows = Array.tabulate(rec.k) { i =>
       val slice = ch.mailbox(p).remove(rec.from + i)
@@ -429,30 +421,30 @@ final class Engine(
     val cpu = cost.taskOverheadS +
       cost.cpuS(rows.length, nsPerRow, cfg.kernelFactor) +
       cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, rec, out, cpu, replayMode)
+    finishTask(ch, rec, out, cpu)
   }
 
   /** Flush task body, shared by first execution and replay. */
-  private def runFlush(ch: ChannelRt, replayMode: Boolean): Unit = {
+  private def runFlush(ch: ChannelRt): Unit = {
     val out = runFlushKernel(ch, stageOf(ch.stage).op.asInstanceOf[AggOp])
     ch.flushed = true
     val cpu = cost.taskOverheadS +
       cost.cpuS(ch.agg.rows, cost.aggNsPerRow, cfg.kernelFactor) +
       cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, FlushRec, out, cpu, replayMode)
+    finishTask(ch, FlushRec, out, cpu)
   }
 
   /** Common task tail: charge CPU, then at CPU completion partition the
     * output, persist (backup/spool), push slices, and commit the lineage —
-    * Algorithm 1's execute / store / push / commit sequence.
+    * Algorithm 1's execute / store / push / commit sequence. A task whose
+    * seq is inside the committed prefix is a replay.
     */
-  private def finishTask(ch: ChannelRt, rec: LineageRec, out: Array[R],
-                         cpuDur: Double, replayMode: Boolean): Unit = {
+  private def finishTask(ch: ChannelRt, rec: LineageRec, out: Array[R], cpuDur: Double): Unit = {
     val mySeq = ch.seq
     ch.seq += 1
     ch.busy = true
     metrics.tasks += 1
-    if (replayMode) metrics.replayTasks += 1
+    if (mySeq < gcs.committedCount(ch.idx)) metrics.replayTasks += 1
     val epoch = ch.epoch
     val w = workers(ch.worker)
     val cpuEnd = w.cpu.use(sim.now, cpuDur)
@@ -461,23 +453,24 @@ final class Engine(
         metrics.abortedTasks += 1
       } else {
         ch.busy = false
-        completeTask(ch, epoch, mySeq, rec, out, replayMode)
+        completeTask(ch, epoch, mySeq, rec, out)
         tryLaunch(ch)
       }
     }
   }
 
-  private[core] def sliceUp(stage: Stage, out: Array[R]): Vector[(Int, Array[R])] = {
-    if (stage.id == plan.last) Vector((0, out)) // flush goes to the collector
+  /** A task's output slices, indexed by consumer channel. */
+  private[core] def sliceUp(stage: Stage, out: Array[R]): Array[Array[R]] = {
+    if (stage.id == plan.last) Array(out) // flush goes to the collector
     else {
       val parts = Array.fill(C)(mutable.ArrayBuffer.empty[R])
       out.foreach(r => parts(hashKey(stage.outKey(r))) += r)
-      parts.toVector.zipWithIndex.map { case (b, i) => (i, b.toArray) }
+      parts.map(_.toArray)
     }
   }
 
   private def completeTask(ch: ChannelRt, epoch: Int, mySeq: Int, rec: LineageRec,
-                           out: Array[R], replayMode: Boolean): Unit = {
+                           out: Array[R]): Unit = {
     val stage = stageOf(ch.stage)
     val w = workers(ch.worker)
     val slices = sliceUp(stage, out)
@@ -499,15 +492,14 @@ final class Engine(
     }
 
     val isLast = stage.id == plan.last
-    val markDone = rec == FlushRec ||
-      (stage.op.isInstanceOf[InputOp] && ch.cursor == ch.myBatches.size && mySeq == ch.myBatches.size - 1)
+    val replay = mySeq < gcs.committedCount(ch.idx)
 
     // push downstream (Algorithm 1: abort commit if a destination is dead)
-    val deadDest = !isLast && slices.exists { case (d, _) =>
+    val deadDest = !isLast && slices.indices.exists { d =>
       !workers(channels(plan.consumers(ch.stage).head)(d).worker).alive(sim.now)
     }
-    if (deadDest && !replayMode) {
-      held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, persistEnd, markDone)
+    if (deadDest && !replay) {
+      held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, persistEnd)
       return
     }
 
@@ -517,13 +509,13 @@ final class Engine(
       if (isLast && rec != FlushRec) sim.now
       else push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
 
-    if (replayMode) {
+    if (replay) {
       poke(ch)
       return // lineage already committed before the failure
     }
 
     val commitAt = math.max(persistEnd, lastNet) + commitLatS
-    scheduleCommit(ch, epoch, mySeq, rec, markDone, slices, commitAt)
+    scheduleCommit(ch, epoch, mySeq, rec, slices, commitAt)
   }
 
   /** Replay identity: a task run again (`rerun`: a replay or a re-read)
@@ -541,14 +533,21 @@ final class Engine(
     }
   }
 
+  /** Commit task (ch, mySeq)'s lineage at `at`. A flush, and an input
+    * channel's last read, mark the channel done.
+    */
   private[core] def scheduleCommit(ch: ChannelRt, epoch: Int, mySeq: Int, rec: LineageRec,
-                                   markDone: Boolean, slices: Vector[(Int, Array[R])],
-                                   at: Double): Unit = {
+                                   slices: Array[Array[R]], at: Double): Unit = {
     sim.at(at) {
       if (barrier) {
         // coordinator holds the GCS lock during recovery planning
-        sim.after(cost.planS)(scheduleCommit(ch, epoch, mySeq, rec, markDone, slices, sim.now))
+        sim.after(cost.planS)(scheduleCommit(ch, epoch, mySeq, rec, slices, sim.now))
       } else if (ch.epoch == epoch && workers(ch.worker).alive(sim.now)) {
+        val markDone = rec match {
+          case FlushRec => true
+          case ReadRec(b) => b + C >= inputBatches(ch.stage).size
+          case _ => false
+        }
         val becameDone = gcs.commit(ch.idx, mySeq, rec, markDone)
         if (becameDone) onChannelDone(ch)
         // an arrival may have been dropped against a worker that died
@@ -574,13 +573,13 @@ final class Engine(
     * (`start` if nothing was sent).
     */
   private[core] def push(from: Int, start: Double, ps: Int, pc: Int, seq: Int,
-                         slices: Vector[(Int, Array[R])], epoch: Int): Double = {
+                         slices: Array[Array[R]], epoch: Int): Double = {
     val net = workers(from).net
     val rowBytes = stageOf(ps).schema.rowBytes
     var last = start
     if (ps == plan.last) {
       if (collectNeeds(pc)) {
-        val rows = slices.head._2
+        val rows = slices(0)
         val bytes = rows.length.toLong * rowBytes
         last = net.use(start, cost.netS(bytes))
         metrics.shuffleBytes += bytes
@@ -589,7 +588,8 @@ final class Engine(
     } else {
       val consumerStage = plan.consumers(ps).head
       val p = slot(ps, pc)
-      for ((d, rows) <- slices) {
+      for (d <- slices.indices) {
+        val rows = slices(d)
         val dest = channels(consumerStage)(d)
         if (needsSlice(dest, p, seq) && workers(dest.worker).alive(sim.now)) {
           val bytes = rows.length.toLong * rowBytes
@@ -648,11 +648,11 @@ final class Engine(
       val mb = ch.mailbox(slot(us, uc))
       if ((from until from + k).forall(mb.contains)) {
         ch.replay = ch.replay.tail
-        runConsume(ch, rec, replayMode = true)
+        runConsume(ch, rec)
       }
     case FlushRec =>
       ch.replay = ch.replay.tail
-      runFlush(ch, replayMode = true)
+      runFlush(ch)
     case ReadRec(_) =>
       throw new IllegalStateException("input channels replay via re-read jobs, not the channel")
   }
@@ -672,30 +672,22 @@ final class Engine(
     }
   }
 
+  private def stageDone(s: Int): Boolean = (0 until C).forall(c => gcs.channelDone(gcs.index(s, c)))
+
+  /** Wake the consumers; stagewise mode releases a consumer stage once
+    * every channel of its upstreams is done.
+    */
   private def onChannelDone(ch: ChannelRt): Unit = {
-    val sid = ch.stage
-    stageDoneCount(sid) += 1
-    if (stageDoneCount(sid) == C) onStageDone(sid)
-    plan.consumers(sid).foreach(cs => channels(cs).foreach(poke))
+    for (cs <- plan.consumers(ch.stage)) {
+      if (!stageReady(cs) && stageOf(cs).upstreams.forall(stageDone))
+        sim.after(cfg.stageOverheadS) { stageReady(cs) = true; channels(cs).foreach(poke) }
+      channels(cs).foreach(poke)
+    }
     maybeFinish()
   }
 
-  private def onStageDone(sid: Int): Unit = {
-    if (cfg.mode == Stagewise) {
-      for (cs <- plan.consumers(sid)) {
-        if (stageOf(cs).upstreams.forall(u => stageDoneCount(u) == C) && !stageReady(cs)) {
-          sim.after(cfg.stageOverheadS) {
-            stageReady(cs) = true
-            channels(cs).foreach(poke)
-          }
-        }
-      }
-    }
-  }
-
   private def maybeFinish(): Unit = {
-    if (!finished && collectGot.size == C &&
-        (0 until C).forall(c => gcs.channelDone(gcs.index(plan.last, c)))) {
+    if (!finished && collectGot.size == C && stageDone(plan.last)) {
       finished = true
       finishT = sim.now
     }
@@ -769,11 +761,11 @@ final class Engine(
   def run(): RunResult = {
     injectFailures()
     scheduleCkptTicks()
-    // input channels with no assigned batches are done from the start
+    // input channels with no batch (channel >= batch count) are done from the start
     sim.at(0.0) {
       for {
         st <- channels; ch <- st
-        if stageOf(ch.stage).op.isInstanceOf[InputOp] && ch.myBatches.isEmpty
+        if !stageOf(ch.stage).stateful && ch.ch >= inputBatches(ch.stage).size
       } if (gcs.markDone(ch.idx)) onChannelDone(ch)
     }
     sim.at(0.0)(pokeAll())

@@ -89,6 +89,15 @@ final class Gcs(stages: Int, channels: Int) {
     becameDone
   }
 
+  /** Drop channel `i`'s buffered out-of-order commits and pending done
+    * mark: the channel was rewound, and the tasks past its committed prefix
+    * run and commit again.
+    */
+  def rewind(i: Int): Unit = {
+    pending.filterInPlace { case ((j, _), _) => j != i }
+    doneAt(i) = Int.MaxValue
+  }
+
   /** Mark a channel done without a new lineage record (stateful channels
     * whose inputs are exhausted, or input channels with no batches).
     * Returns true iff the channel was not already done.

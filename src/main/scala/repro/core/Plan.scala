@@ -30,13 +30,12 @@ final case class JoinOp(
 ) extends StageOp
 
 /** Streaming aggregation: state is a key -> Array[Long] accumulator map
-  * (all accumulators are exact fixed-point sums/counts). Emits its output
-  * in a single flush task once every upstream channel is done and fully
-  * consumed.
+  * (all accumulators are exact fixed-point sums/counts); `key` is both the
+  * grouping key and the key `finish` receives. Emits its output in a single
+  * flush task once every upstream channel is done and fully consumed.
   */
 final case class AggOp(
-  key: R => Any,
-  keyOut: R => Vector[Any],
+  key: R => Vector[Any],
   nAccs: Int,
   update: (Array[Long], R) => Unit,
   finish: (Vector[Any], Array[Long]) => R,
@@ -177,12 +176,12 @@ final class PlanBuilder(val name: String) {
     buf.size - 1
   }
 
-  def agg(up: Int, key: R => Any, keyOut: R => Vector[Any], nAccs: Int,
+  def agg(up: Int, key: R => Vector[Any], nAccs: Int,
           schema: Sch)(update: (Array[Long], R) => Unit)(
           finish: (Vector[Any], Array[Long]) => R): Int = {
     require(buf(up).outKey == null, "a stage can feed only one consumer")
     buf(up).outKey = key
-    buf += Pending(AggOp(key, keyOut, nAccs, update, finish), Vector(up), schema, null)
+    buf += Pending(AggOp(key, nAccs, update, finish), Vector(up), schema, null)
     buf.size - 1
   }
 

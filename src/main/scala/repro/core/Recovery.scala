@@ -2,7 +2,6 @@ package repro.core
 
 import repro.core.Rows.R
 import repro.ft.NoFt
-import scala.collection.mutable
 
 /** The coordinator's failure-recovery routine — Algorithm 2 of the paper,
   * with pipelined parallel recovery (§III-B):
@@ -10,8 +9,9 @@ import scala.collection.mutable
   *  - every channel hosted on a dead worker is rewound and reassigned,
   *    round-robin over live workers, so rewound channels of *different
   *    stages* land on different machines and recover concurrently;
-  *  - the union of the rewound channels' committed lineage gives the set of
-  *    required input partitions, processed in reverse topological order:
+  *  - the required input partitions are the committed prefixes of every
+  *    upstream channel of a rewound stage, processed in reverse topological
+  *    order:
   *    partitions whose producer-local backup survives are *replayed* by
   *    their owner (disk read + network push), lost input-stage partitions
   *    are *re-read* on arbitrary live workers (input tasks are stateless,
@@ -64,12 +64,13 @@ object Recovery {
       // the consumer side for uncommitted outputs.) Nothing past the
       // channel's last task exists, so the purge truncates at `cc`.
       e.outputHash(ch.idx).truncate(cc)
+      e.gcs.rewind(ch.idx) // and their commits buffered past a gap
       for (cs <- e.plan.consumers(ch.stage); dch <- e.channels(cs))
         dch.truncate(e.slot(ch.stage, ch.ch), cc)
       if (!e.plan.stages(ch.stage).stateful) {
         // stateless: committed reads are recovered data-parallel below;
         // the channel itself resumes with its remaining batches
-        ch.cursor = cc; ch.seq = cc; ch.replay = Nil
+        ch.seq = cc; ch.replay = Nil
       } else {
         if (ch.join != null) ch.join = new JoinState else ch.agg = new AggState
         ch.seq = 0
@@ -77,43 +78,29 @@ object Recovery {
       }
     }
 
-    // ---- required input partitions of all rewound channels: everything
-    // their committed lineage consumed, plus committed-but-unconsumed
-    // upstream outputs (their arrived copies died with the worker's mailbox)
-    val needed = mutable.LinkedHashSet.empty[(Int, Int, Int)]
-    for (ch <- rewound) {
-      for (rec <- ch.replay) rec match {
-        case ConsumeRec(us, uc, from, k) =>
-          var i = from
-          while (i < from + k) { needed += ((us, uc, i)); i += 1 }
-        case _ =>
-      }
-      for (u <- e.plan.stages(ch.stage).upstreams; uc <- 0 until e.C) {
-        var i = 0
-        val cc = e.gcs.committedCount(e.gcs.index(u, uc))
-        while (i < cc) { needed += ((u, uc, i)); i += 1 }
-      }
-    }
-
-    // ---- replay / re-read / rewind decision, reverse topological order
-    for (p <- needed.toVector.sortBy { case (us, uc, s) => (-us, uc, s) }) {
-      val (us, uc, s) = p
+    // ---- required input partitions: the committed prefix of every upstream
+    // channel of a rewound stage. It holds everything the rewound channels'
+    // lineage consumed, and the committed outputs they had not consumed yet
+    // (their arrived copies died with the worker's mailbox). Replay, re-read
+    // or rewind each, in reverse topological (stage, channel, seq) order.
+    val ups = rewound.flatMap(ch => e.plan.stages(ch.stage).upstreams).distinct.sorted.reverse
+    for (us <- ups; uc <- 0 until e.C; s <- 0 until e.gcs.committedCount(e.gcs.index(us, uc))) {
       val i = e.gcs.index(us, uc)
       e.metrics.recoveredPartitions += 1
       if (e.cfg.ft.spooling && e.spool(i).contains(s)) {
-        scheduleSpoolFetch(e, p)
+        scheduleSpoolFetch(e, us, uc, s)
       } else Option(e.backups(i)(s)) match {
         case Some((owner, slices, bytes)) =>
-          scheduleRePush(e, owner, p, slices, bytes)
+          scheduleRePush(e, owner, us, uc, s, slices, bytes)
         case None =>
           e.plan.stages(us).op match {
-            case _: InputOp => scheduleReRead(e, p, nextWorker())
+            case _: InputOp => scheduleReRead(e, us, uc, s, nextWorker())
             case _ =>
               // lost together with its stateful producer: regenerated by the
               // producer's own replay (it is necessarily in the rewound set)
               val prod = e.channels(us)(uc)
               require(s >= prod.seq && s < prod.seq + prod.replay.size,
-                s"partition $p unrecoverable: no backup, producer not replaying")
+                s"partition ($us,$uc,$s) unrecoverable: no backup, producer not replaying")
           }
       }
     }
@@ -124,9 +111,8 @@ object Recovery {
   /** Replay a backed-up partition from its owner: disk read, then push the
     * slices that some consumer still needs.
     */
-  private def scheduleRePush(e: Engine, owner: Int, p: (Int, Int, Int),
-                             slices: Vector[(Int, Array[R])], bytes: Long): Unit = {
-    val (us, uc, s) = p
+  private def scheduleRePush(e: Engine, owner: Int, us: Int, uc: Int, s: Int,
+                             slices: Array[Array[R]], bytes: Long): Unit = {
     e.metrics.repushJobs += 1
     val dEnd = e.workers(owner).disk.use(e.sim.now, e.cfg.cost.diskS(bytes))
     e.push(owner, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
@@ -135,12 +121,12 @@ object Recovery {
   /** Fetch a spooled partition from the reliable store directly to each
     * consumer that needs it (Trino-style recovery from spooled shuffles).
     */
-  private def scheduleSpoolFetch(e: Engine, p: (Int, Int, Int)): Unit = {
+  private def scheduleSpoolFetch(e: Engine, us: Int, uc: Int, s: Int): Unit = {
     import e.cfg.cost
-    val (us, uc, s) = p
     val (slices, _) = e.spool(e.gcs.index(us, uc))(s)
     val consumerStage = e.plan.consumers(us).head
-    for ((d, rows) <- slices) {
+    for (d <- slices.indices) {
+      val rows = slices(d)
       val dest = e.channels(consumerStage)(d)
       if (e.needsSlice(dest, e.slot(us, uc), s)) {
         val sbytes = rows.length.toLong * e.plan.stages(us).schema.rowBytes
@@ -155,15 +141,14 @@ object Recovery {
   /** Re-execute a lost input read on an arbitrary live worker (input tasks
     * are stateless, so these recover data-parallel across the cluster).
     */
-  private def scheduleReRead(e: Engine, p: (Int, Int, Int), worker: Int): Unit = {
+  private def scheduleReRead(e: Engine, us: Int, uc: Int, s: Int, worker: Int): Unit = {
     import e.cfg.cost
-    val (us, uc, s) = p
     val i = e.gcs.index(us, uc)
     e.metrics.rereadJobs += 1
     val stage = e.plan.stages(us)
     val batchIdx = e.gcs.rec(i, s) match {
       case ReadRec(b) => b
-      case other => throw new IllegalStateException(s"input lineage of $p is $other")
+      case other => throw new IllegalStateException(s"input lineage of ($us,$uc,$s) is $other")
     }
     val (out, cpu) = e.runInput(stage, e.inputBatches(us)(batchIdx))
     e.checkOutput(us, uc, s, out, "re-read")
@@ -191,7 +176,7 @@ object Recovery {
       val ch = e.channels(h.stage)(h.ch)
       if (ch.epoch == h.epoch && e.workers(ch.worker).alive(now)) {
         val lastNet = e.push(ch.worker, now, h.stage, h.ch, h.seq, h.slices, ch.epoch)
-        e.scheduleCommit(ch, ch.epoch, h.seq, h.rec, h.markDone, h.slices,
+        e.scheduleCommit(ch, ch.epoch, h.seq, h.rec, h.slices,
           math.max(lastNet, h.readyAt) + e.commitLatS)
       }
     }

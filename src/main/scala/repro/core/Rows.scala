@@ -130,7 +130,4 @@ object Money {
   /** price*(1-discount)*(1+tax), scale 1e6. */
   def charge6(price: Double, disc: Double, tax: Double): Long =
     c2(price) * (100L - c2(disc)) * (100L + c2(tax))
-
-  /** Convert a scaled long back to double (exactly rounded). */
-  def toD(v: Long, scale: Double): Double = v.toDouble / scale
 }

@@ -94,7 +94,6 @@ object TpchLite {
                      out: Sch)(finish: (Vector[Any], Array[Long]) => R): Int =
     b.agg(up,
       key = r => keyIdx.map(r(_)),
-      keyOut = r => keyIdx.map(r(_)),
       nAccs = accIdx.size, out) { (accs, r) =>
         var i = 0
         while (i < accIdx.size) { accs(i) += lng(r, accIdx(i)); i += 1 }
@@ -367,7 +366,7 @@ object TpchLite {
       val n2 = b.scan("nation", N, "n_nationkey", "n_name")(_ => true)
       val j7 = b.joinOn(j6, n2, "s_nationkey" -> "n_nationkey", "o_year", "rev", "n_name")
       val out = S("o_year" -> CLong, "mkt_share" -> CDouble)
-      b.agg(j7, key = r => Vector(r(0)), keyOut = r => Vector(r(0)), nAccs = 2, out) {
+      b.agg(j7, key = r => Vector(r(0)), nAccs = 2, out) {
         (accs, r) =>
           val v = lng(r, 1)
           if (str(r, 2) == "NATION_06") accs(0) += v
@@ -447,7 +446,7 @@ object TpchLite {
       val od = b.scan("orders", O, "o_orderkey", hi)(_ => true)
       val j1 = b.joinOn(li, od, "l_orderkey" -> "o_orderkey", "l_shipmode", "hi")
       val out = S("l_shipmode" -> CString, "high_line_count" -> CLong, "low_line_count" -> CLong)
-      b.agg(j1, key = r => Vector(r(0)), keyOut = r => Vector(r(0)), nAccs = 2, out) {
+      b.agg(j1, key = r => Vector(r(0)), nAccs = 2, out) {
         (accs, r) => val h = lng(r, 1); accs(0) += h; accs(1) += 1L - h
       } { (k, a) => Array[Any](k(0), a(0), a(1)) }
       b.build()

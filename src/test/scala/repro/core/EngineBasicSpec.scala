@@ -19,7 +19,7 @@ class EngineBasicSpec extends SparkSpec {
   private def aggPlan: Plan = {
     val b = new PlanBuilder("mini-agg")
     val s = b.input("a", sch2)(identity)
-    b.agg(s, r => r(0), r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(
+    b.agg(s, r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(
       (k, a) => Array[Any](k(0), a(0)))
     b.build()
   }
@@ -32,7 +32,7 @@ class EngineBasicSpec extends SparkSpec {
     val j = b.join(sa, sb, r => r(0), r => r(0), sch2) { (l, r) =>
       Array[Any](lng(l, 0), lng(l, 1) * lng(r, 1))
     }
-    b.agg(j, r => r(0), r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(
+    b.agg(j, r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(
       (k, a) => Array[Any](k(0), a(0)))
     b.build()
   }
@@ -68,7 +68,7 @@ class EngineBasicSpec extends SparkSpec {
     val j = b.join(sa, sb, r => r(0), r => r(0), sch2) { (l, r) =>
       if (lng(r, 1) > 1L) Array[Any](lng(l, 0), lng(r, 1)) else null
     }
-    b.agg(j, r => r(0), r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(
+    b.agg(j, r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(
       (k, a) => Array[Any](k(0), a(0)))
     val data = Map(
       "a" -> rowsOf((1L, 0L), (2L, 0L)),

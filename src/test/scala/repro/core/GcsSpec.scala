@@ -35,6 +35,20 @@ class GcsSpec extends AnyFunSuite {
     assert(g.channelDone(g.index(2, 0)))
   }
 
+  test("rewind drops the channel's buffered commits and pending done mark, and no other channel's") {
+    val g = newGcs()
+    val (i, j) = (g.index(2, 0), g.index(2, 1))
+    g.commit(i, 0, ConsumeRec(1, 0, 0, 1))
+    g.commit(i, 2, FlushRec, markDone = true) // buffered past the gap at seq 1
+    g.commit(j, 1, ConsumeRec(1, 1, 3, 1)) // another channel's buffered commit
+    g.rewind(i)
+    assert(!g.commit(i, 1, ConsumeRec(1, 0, 1, 4)), "the dropped flush must not mark done")
+    assert(g.committedCount(i) == 2 && !g.channelDone(i))
+    assert(g.commit(i, 2, FlushRec, markDone = true))
+    g.commit(j, 0, ConsumeRec(1, 1, 0, 3))
+    assert(g.committedCount(j) == 2)
+  }
+
   test("markDone is idempotent and reports first-time transitions") {
     val g = newGcs()
     assert(g.markDone(g.index(3, 1)))

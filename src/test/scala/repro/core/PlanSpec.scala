@@ -7,7 +7,7 @@ class PlanSpec extends AnyFunSuite {
   private val sch = Sch.of("k" -> CLong, "v" -> CLong)
 
   private def mkAgg(b: PlanBuilder, up: Int): Int =
-    b.agg(up, r => r(0), r => Vector(r(0)), 1, sch)((a, r) => a(0) += Rows.lng(r, 1))(
+    b.agg(up, r => Vector(r(0)), 1, sch)((a, r) => a(0) += Rows.lng(r, 1))(
       (k, a) => Array[Any](k(0), a(0)))
 
   test("builder wires a scan-join-agg tree with partitioning keys") {

@@ -13,21 +13,21 @@ class PushSpec extends AnyFunSuite {
   private def engine(workers: Int): Engine = {
     val b = new PlanBuilder("push")
     val s = b.input("a", sch)(identity)
-    b.agg(s, r => r(0), r => Vector(r(0)), 1, sch)((acc, r) => acc(0) += Rows.lng(r, 1))(
+    b.agg(s, r => Vector(r(0)), 1, sch)((acc, r) => acc(0) += Rows.lng(r, 1))(
       (k, a) => Array[Any](k(0), a(0)))
     val rows: Array[R] = Array(Array[Any](1L, 1L))
     new Engine(EngineConfig(workers), b.build(), Map("a" -> rows))
   }
 
-  /** One row for each of the first two agg channels. */
-  private val slices: Vector[(Int, Array[R])] =
-    Vector(0 -> Array[R](Array[Any](0L, 1L)), 1 -> Array[R](Array[Any](1L, 2L)))
+  /** One row for each of the first two agg channels, by channel. */
+  private val slices: Array[Array[R]] =
+    Array(Array[R](Array[Any](0L, 1L)), Array[R](Array[Any](1L, 2L)))
 
   test("slices already consumed or already in a mailbox are not sent") {
     val e = engine(2)
     val Vector(d0, d1) = e.channels(1)
     d0.consumed(e.slot(0, 0)) = 1
-    d1.arrive(e.slot(0, 0), 0, slices(1)._2)
+    d1.arrive(e.slot(0, 0), 0, slices(1))
     val net = e.workers(0).net.freeAt
     assert(e.push(0, 2.0, 0, 0, 0, slices, epoch = 0) == 2.0)
     assert(e.sim.pendingEvents == 0)
@@ -37,7 +37,7 @@ class PushSpec extends AnyFunSuite {
 
   test("a consumer on the sending worker gets its slice without the NIC") {
     val e = engine(2)
-    e.channels(1)(1).arrive(e.slot(0, 0), 0, slices(1)._2)
+    e.channels(1)(1).arrive(e.slot(0, 0), 0, slices(1))
     val net = e.workers(0).net.freeAt
     assert(e.push(0, 2.0, 0, 0, 0, slices, epoch = 0) == 2.0 + 1e-6)
     assert(e.workers(0).net.freeAt == net)
@@ -70,7 +70,7 @@ class PushSpec extends AnyFunSuite {
     val e = engine(2)
     val d = e.channels(1)(0)
     val p = e.slot(0, 1)
-    val rows = slices(0)._2
+    val rows = slices(0)
     d.arrive(p, 1, rows)
     assert(d.arrivedEnd(p) == 0) // seq 0 has not arrived
     d.arrive(p, 0, rows)

@@ -16,19 +16,19 @@ class MoneySpec extends AnyFunSuite {
   test("rev4 is price*(1-disc) at scale 1e4, exactly") {
     // 100.00 * (1 - 0.05) = 95.00 -> 950000 at scale 1e4
     assert(Money.rev4(100.0, 0.05) == 950000L)
-    assert(Money.toD(Money.rev4(100.0, 0.05), 1e4) == 95.0)
+    assert(Money.rev4(100.0, 0.05) / 1e4 == 95.0)
   }
 
   test("charge6 is price*(1-disc)*(1+tax) at scale 1e6, exactly") {
     // 100 * 0.95 * 1.08 = 102.60
     assert(Money.charge6(100.0, 0.05, 0.08) == 102600000L)
-    assert(Money.toD(Money.charge6(100.0, 0.05, 0.08), 1e6) == 102.6)
+    assert(Money.charge6(100.0, 0.05, 0.08) / 1e6 == 102.6)
   }
 
   test("sums in scaled longs stay exact where double sums drift") {
     val vals = Array.fill(100000)(0.01)
     val longSum = vals.map(Money.c2).sum
-    assert(Money.toD(longSum, 100.0) == 1000.0)
+    assert(longSum / 100.0 == 1000.0)
     // the naive double sum demonstrably drifts — the reason we fix-point
     assert(vals.sum != 1000.0)
   }
