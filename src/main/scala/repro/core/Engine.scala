@@ -93,8 +93,6 @@ private[core] final class ChannelRt(val stage: Int, val ch: Int, val idx: Int, u
   val arrivedEnd = new Array[Int](ups)
   var join: JoinState = null
   var agg: AggState = null
-  /** Logged lineage still to replay after a rewind; the head is task `seq`. */
-  var replay: List[LineageRec] = Nil
   var stateRowsAtCkpt = 0L
   /** GCS poll gate: no consume task may launch before this time. */
   var nextPollAt = 0.0
@@ -127,6 +125,13 @@ private[core] final class ChannelRt(val stage: Int, val ch: Int, val idx: Int, u
     java.util.Arrays.fill(arrivedEnd, 0)
   }
 }
+
+/** A task whose downstream push hit a dead worker: its commit is withheld
+  * (Algorithm 1's "push results failed" branch) until recovery resolves it.
+  */
+private[core] final case class HeldTask(
+  stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
+  slices: Array[Array[R]], readyAt: Double)
 
 /** Counters for the overhead/recovery experiments. */
 final class Metrics {
@@ -176,7 +181,7 @@ final class Engine(
     plan.stages.map(s => (for (u <- s.upstreams; c <- 0 until C) yield gcs.index(u, c)).toArray)
   /** Index of each stage among its consumer's upstreams (0 for the final stage). */
   private val upPos: Array[Int] = plan.stages.map { s =>
-    if (s.id == plan.last) 0 else stageOf(plan.consumers(s.id).head).upstreams.indexOf(s.id)
+    plan.consumers(s.id).headOption.fold(0)(stageOf(_).upstreams.indexOf(s.id))
   }.toArray
 
   private[core] val channels: Vector[Vector[ChannelRt]] =
@@ -190,6 +195,17 @@ final class Engine(
       }
       ch
     })
+
+  /** The head node, which hosts the GCS and the collector and never fails. */
+  private val headNode: Int = cfg.workers
+  /** The result collector: a one-channel consumer of the final stage, on the
+    * head node; it has no GCS entry and runs no tasks.
+    */
+  private[core] val collector = new ChannelRt(plan.stages.size, 0, -1, C)
+  collector.worker = headNode
+  /** Consumer channels of each stage: its consumer stage's, or the collector. */
+  private[core] val consumerChs: Vector[Vector[ChannelRt]] =
+    plan.stages.map(s => plan.consumers(s.id).headOption.fold(Vector(collector))(channels(_)))
 
   /** Global, replayable input batches by stage id ("files on S3"; empty
     * for stateful stages). Input channel c's task seq reads batch
@@ -211,19 +227,12 @@ final class Engine(
   private[core] val spool = Vector.fill(plan.stages.size * C)(new SeqBuf[(Array[Array[R]], Long)])
   /** Content digest of each task's output — replay-identity invariant. */
   private[core] val outputHash = Vector.fill(plan.stages.size * C)(new SeqBuf[java.lang.Long])
-  /** Tasks whose downstream push hit a dead worker: commit withheld
-    * (Algorithm 1's "push results failed" branch), resolved by recovery.
-    */
+  /** Tasks whose commit is withheld until recovery. */
   private[core] val held = mutable.ArrayBuffer.empty[HeldTask]
-  private[core] final case class HeldTask(
-    stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
-    slices: Array[Array[R]], readyAt: Double)
 
   private[core] var barrier = false
   private var finished = false
   private var finishT = 0.0
-  private val collectGot = mutable.HashSet.empty[Int]
-  private val collectRows = mutable.ArrayBuffer.empty[R]
   private val stageReady = Array.tabulate(plan.stages.size)(s =>
     cfg.mode == Pipelined || plan.stages(s).upstreams.isEmpty)
   private[core] val rng = new scala.util.Random(cfg.seed)
@@ -240,7 +249,14 @@ final class Engine(
     if (m < 0) m + C else m
   }
 
-  private[core] def poke(ch: ChannelRt): Unit = { tryLaunch(ch); checkDone(ch) }
+  /** Launch what `ch` can run and check whether it is done; the collector
+    * runs no tasks.
+    */
+  private[core] def poke(ch: ChannelRt): Unit =
+    if (ch ne collector) { tryLaunch(ch); checkDone(ch) }
+
+  /** Worker `w`, or the head node, is alive. */
+  private def live(w: Int): Boolean = w == headNode || workers(w).alive(sim.now)
 
   private[core] def pokeAll(): Unit =
     for (st <- channels; ch <- st) poke(ch)
@@ -263,7 +279,7 @@ final class Engine(
     if (finished || barrier || ch.busy) return
     val w = workers(ch.worker)
     if (!w.alive(sim.now)) return
-    if (ch.replay.nonEmpty) {
+    if (ch.seq < gcs.committedCount(ch.idx)) {
       if (pollGateOpen(ch)) { ch.nextPollAt = sim.now + cost.pollIntervalS; tryReplay(ch) }
       return
     }
@@ -459,9 +475,9 @@ final class Engine(
     }
   }
 
-  /** A task's output slices, indexed by consumer channel. */
+  /** A task's output slices, one per consumer channel. */
   private[core] def sliceUp(stage: Stage, out: Array[R]): Array[Array[R]] = {
-    if (stage.id == plan.last) Array(out) // flush goes to the collector
+    if (consumerChs(stage.id).size == 1) Array(out)
     else {
       val parts = Array.fill(C)(mutable.ArrayBuffer.empty[R])
       out.foreach(r => parts(hashKey(stage.outKey(r))) += r)
@@ -473,7 +489,7 @@ final class Engine(
                            out: Array[R]): Unit = {
     val stage = stageOf(ch.stage)
     val w = workers(ch.worker)
-    val slices = sliceUp(stage, out)
+    val slices = if (stage.op.emits(rec)) sliceUp(stage, out) else Array.empty[Array[R]]
     val bytes = out.length.toLong * stage.schema.rowBytes
 
     checkOutput(ch.stage, ch.ch, mySeq, out, "replay")
@@ -486,28 +502,21 @@ final class Engine(
       metrics.backupBytes += bytes
     }
     if (cfg.ft.spooling) {
-      persistEnd = w.storeLink.use(sim.now, cost.storeS(bytes, slices.size))
+      persistEnd = w.storeLink.use(sim.now, cost.storeS(bytes, consumerChs(ch.stage).size))
       spool(ch.idx)(mySeq) = (slices, bytes)
       metrics.spoolBytes += bytes
     }
 
-    val isLast = stage.id == plan.last
     val replay = mySeq < gcs.committedCount(ch.idx)
 
     // push downstream (Algorithm 1: abort commit if a destination is dead)
-    val deadDest = !isLast && slices.indices.exists { d =>
-      !workers(channels(plan.consumers(ch.stage).head)(d).worker).alive(sim.now)
-    }
+    val deadDest = slices.indices.exists(d => !live(consumerChs(ch.stage)(d).worker))
     if (deadDest && !replay) {
       held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, persistEnd)
       return
     }
 
-    // only the flush of the final aggregation carries the query result;
-    // its consume tasks produce no downstream output
-    val lastNet =
-      if (isLast && rec != FlushRec) sim.now
-      else push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
+    val lastNet = push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
 
     if (replay) {
       poke(ch)
@@ -554,10 +563,9 @@ final class Engine(
         // between push and delivery — committed outputs must reach their
         // (possibly reassigned) consumers. No-op on the normal path:
         // arrivals always precede the commit event.
-        if (ch.stage != plan.last || rec == FlushRec)
-          push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
+        push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
         // wake consumers (their inputs just became committed) and self
-        plan.consumers(ch.stage).foreach(cs => channels(cs).foreach(poke))
+        consumerChs(ch.stage).foreach(poke)
         poke(ch)
         maybeFinish()
       }
@@ -565,42 +573,32 @@ final class Engine(
   }
 
   /** Send the output slices of task (ps, pc, seq) from worker `from`,
-    * starting no earlier than `start`, to every consumer that still needs
-    * them and sits on a live worker; the final stage's output goes to the
-    * head-node collector instead. A consumer on the sending worker gets its
-    * slice without using the NIC. Every first push, replay, re-read and
-    * recovery re-push goes through here. Returns the last arrival time
-    * (`start` if nothing was sent).
+    * starting no earlier than `start`, to every consumer channel that still
+    * needs them and sits on a live worker. The final stage's one consumer
+    * is the collector on the head node, so the query result travels this
+    * path too. A consumer on the sending worker gets its slice without
+    * using the NIC. Every first push, replay, re-read and recovery re-push
+    * goes through here. Returns the last arrival time (`start` if nothing
+    * was sent).
     */
   private[core] def push(from: Int, start: Double, ps: Int, pc: Int, seq: Int,
                          slices: Array[Array[R]], epoch: Int): Double = {
     val net = workers(from).net
     val rowBytes = stageOf(ps).schema.rowBytes
+    val p = slot(ps, pc)
     var last = start
-    if (ps == plan.last) {
-      if (collectNeeds(pc)) {
-        val rows = slices(0)
+    for (d <- slices.indices) {
+      val rows = slices(d)
+      val dest = consumerChs(ps)(d)
+      if (needsSlice(dest, p, seq) && live(dest.worker)) {
         val bytes = rows.length.toLong * rowBytes
-        last = net.use(start, cost.netS(bytes))
+        val arrive =
+          if (dest.worker == from) math.max(start, last) + 1e-6
+          else net.use(start, cost.netS(bytes))
+        last = math.max(last, arrive)
         metrics.shuffleBytes += bytes
-        sim.at(last)(collectArrive(pc, rows))
-      }
-    } else {
-      val consumerStage = plan.consumers(ps).head
-      val p = slot(ps, pc)
-      for (d <- slices.indices) {
-        val rows = slices(d)
-        val dest = channels(consumerStage)(d)
-        if (needsSlice(dest, p, seq) && workers(dest.worker).alive(sim.now)) {
-          val bytes = rows.length.toLong * rowBytes
-          val arrive =
-            if (dest.worker == from) math.max(start, last) + 1e-6
-            else net.use(start, cost.netS(bytes))
-          last = math.max(last, arrive)
-          metrics.shuffleBytes += bytes
-          val sentTo = dest.worker
-          sim.at(arrive)(sliceArrive(dest, sentTo, ps, pc, seq, rows, epoch))
-        }
+        val sentTo = dest.worker
+        sim.at(arrive)(sliceArrive(dest, sentTo, ps, pc, seq, rows, epoch))
       }
     }
     last
@@ -615,7 +613,7 @@ final class Engine(
   private[core] def sliceArrive(dest: ChannelRt, sentToWorker: Int, ps: Int, pc: Int,
                           seq: Int, rows: Array[R], prodEpochAtSend: Int): Unit = {
     // data addressed to a worker that died or lost the channel is dropped
-    if (dest.worker != sentToWorker || !workers(dest.worker).alive(sim.now)) return
+    if (dest.worker != sentToWorker || !live(dest.worker)) return
     val p = slot(ps, pc)
     if (dest.consumed(p) > seq) return // already consumed (replay dup)
     // an uncommitted slice from a producer that has since been rewound is
@@ -627,32 +625,17 @@ final class Engine(
     poke(dest)
   }
 
-  private def collectArrive(fromCh: Int, rows: Array[R]): Unit = {
-    if (!collectGot.contains(fromCh)) {
-      collectGot += fromCh
-      collectRows ++= rows
-    }
-    maybeFinish()
-  }
-
-  private[core] def collectNeeds(fromCh: Int): Boolean = !collectGot.contains(fromCh)
-
   // ----------------------------------------------------------------- replay
 
   /** Replay the next logged lineage entry of a rewound channel. The GCS
     * supplies the exact lineage, so the channel "retraces its footsteps"
     * instead of choosing inputs dynamically (paper §IV-C).
     */
-  private def tryReplay(ch: ChannelRt): Unit = ch.replay.head match {
+  private def tryReplay(ch: ChannelRt): Unit = gcs.rec(ch.idx, ch.seq) match {
     case rec @ ConsumeRec(us, uc, from, k) =>
       val mb = ch.mailbox(slot(us, uc))
-      if ((from until from + k).forall(mb.contains)) {
-        ch.replay = ch.replay.tail
-        runConsume(ch, rec)
-      }
-    case FlushRec =>
-      ch.replay = ch.replay.tail
-      runFlush(ch)
+      if ((from until from + k).forall(mb.contains)) runConsume(ch, rec)
+    case FlushRec => runFlush(ch)
     case ReadRec(_) =>
       throw new IllegalStateException("input channels replay via re-read jobs, not the channel")
   }
@@ -665,8 +648,7 @@ final class Engine(
     stage.op match {
       case _: InputOp => // done is marked by the last commit
       case _: JoinOp =>
-        val complete = !ch.busy && ch.replay.isEmpty &&
-          gcs.committedCount(ch.idx) == ch.seq && upstreamsDrained(ch)
+        val complete = !ch.busy && gcs.committedCount(ch.idx) == ch.seq && upstreamsDrained(ch)
         if (complete && gcs.markDone(ch.idx)) onChannelDone(ch)
       case _: AggOp => // done is marked by the flush commit
     }
@@ -687,7 +669,7 @@ final class Engine(
   }
 
   private def maybeFinish(): Unit = {
-    if (!finished && collectGot.size == C && stageDone(plan.last)) {
+    if (!finished && stageDone(plan.last)) {
       finished = true
       finishT = sim.now
     }
@@ -774,10 +756,13 @@ final class Engine(
       val undone = for {
         st <- channels; ch <- st if !gcs.channelDone(ch.idx)
       } yield s"(${ch.stage},${ch.ch}) seq=${ch.seq} committed=${gcs.committedCount(ch.idx)} " +
-        s"busy=${ch.busy} replay=${ch.replay.size} worker=${ch.worker} " + inputState(ch)
-      throw new IllegalStateException(
-        s"engine deadlock in ${plan.name}: collect=${collectGot.size}/$C\n" + undone.mkString("\n"))
+        s"busy=${ch.busy} worker=${ch.worker} " + inputState(ch)
+      throw new IllegalStateException(s"engine deadlock in ${plan.name}:\n" + undone.mkString("\n"))
     }
-    RunResult(collectRows.toVector, plan.resultSchema, finishT, metrics, gcs.txns, gcs.lineageBytes)
+    // each final channel's last committed task is its flush
+    val rows = (0 until C).toVector.flatMap { c =>
+      collector.mailbox(c)(gcs.committedCount(gcs.index(plan.last, c)) - 1)
+    }
+    RunResult(rows, plan.resultSchema, finishT, metrics, gcs.txns, gcs.lineageBytes)
   }
 }

@@ -39,7 +39,8 @@ case object FlushRec extends LineageRec { val byteSize = 12 }
   */
 final class Gcs(stages: Int, channels: Int) {
   private val recs = Array.fill(stages * channels)(mutable.ArrayBuffer.empty[LineageRec])
-  private val pending = mutable.HashMap.empty[(Int, Int), LineageRec] // (index, seq)
+  /** Commits buffered past a gap in each channel's committed prefix, by seq. */
+  private val pending = Array.fill(stages * channels)(new SeqBuf[LineageRec])
   /** Committed count at which a channel becomes done (done-marking commit). */
   private val doneAt = Array.fill(stages * channels)(Int.MaxValue)
   private val done = new Array[Boolean](stages * channels)
@@ -60,9 +61,6 @@ final class Gcs(stages: Int, channels: Int) {
     else throw new NoSuchElementException(
       s"no committed lineage for (${i / channels},${i % channels},$seq)")
 
-  /** Committed lineage records of a channel, in seq order. */
-  def channelLog(i: Int): List[LineageRec] = recs(i).toList
-
   def channelDone(i: Int): Boolean = done(i)
 
   /** Single transaction: commit lineage of task (i, seq), remove it from
@@ -79,10 +77,10 @@ final class Gcs(stages: Int, channels: Int) {
     if (seq == log.length) {
       log += r
       // drain any buffered successors
-      while (pending.nonEmpty && pending.contains((i, log.length)))
-        log += pending.remove((i, log.length)).get
+      var next = pending(i).remove(log.length)
+      while (next != null) { log += next; next = pending(i).remove(log.length) }
     } else if (seq > log.length) {
-      pending((i, seq)) = r
+      pending(i)(seq) = r
     } // seq < committedCount: replay of an already-committed task — no-op
     val becameDone = !done(i) && doneAt(i) <= log.length
     if (becameDone) done(i) = true
@@ -94,7 +92,7 @@ final class Gcs(stages: Int, channels: Int) {
     * run and commit again.
     */
   def rewind(i: Int): Unit = {
-    pending.filterInPlace { case ((j, _), _) => j != i }
+    pending(i).clear()
     doneAt(i) = Int.MaxValue
   }
 

@@ -9,7 +9,10 @@ import scala.collection.mutable
   * sequence of tasks named (stage, channel, seq). Stateful operators carry
   * a per-channel state variable (hash tables, aggregation maps).
   */
-sealed trait StageOp
+sealed trait StageOp {
+  /** A task with lineage `rec` sends its output to the consumer channels. */
+  def emits(rec: LineageRec): Boolean = true
+}
 
 /** Source stage: reads pre-split batches of `table` from replayable object
   * storage, applying the fused filter/project/pre-aggregation `fuse`
@@ -32,18 +35,21 @@ final case class JoinOp(
 /** Streaming aggregation: state is a key -> Array[Long] accumulator map
   * (all accumulators are exact fixed-point sums/counts); `key` is both the
   * grouping key and the key `finish` receives. Emits its output in a single
-  * flush task once every upstream channel is done and fully consumed.
+  * flush task once every upstream channel is done and fully consumed; its
+  * consume tasks emit nothing.
   */
 final case class AggOp(
   key: R => Vector[Any],
   nAccs: Int,
   update: (Array[Long], R) => Unit,
   finish: (Vector[Any], Array[Long]) => R,
-) extends StageOp
+) extends StageOp {
+  override def emits(rec: LineageRec): Boolean = rec == FlushRec
+}
 
 /** One stage of the plan. `outKey` is the partitioning key towards the
-  * consumer stage (null for the final stage, whose flush output goes to the
-  * head-node collector).
+  * consumer stage (null for the final stage, whose one consumer, the
+  * head-node collector, gets the whole flush output).
   */
 final case class Stage(
   id: Int,
@@ -59,7 +65,8 @@ final case class Stage(
 }
 
 /** A compiled query plan: stages in topological order (upstreams < id),
-  * the last stage is always an AggOp whose flush is the query result.
+  * the last stage is always an AggOp whose flush is the query result, and
+  * no other stage aggregates.
   */
 final case class Plan(stages: Vector[Stage], name: String) {
   require(stages.nonEmpty, "empty plan")
@@ -68,6 +75,8 @@ final case class Plan(stages: Vector[Stage], name: String) {
     s.upstreams.foreach(u => require(u < s.id, s"upstream $u not before stage ${s.id}"))
   }
   require(stages.last.op.isInstanceOf[AggOp], s"plan $name must end in an aggregation")
+  stages.init.foreach(s => require(!s.op.isInstanceOf[AggOp],
+    s"plan $name aggregates at stage ${s.id}, before its final stage"))
 
   val last: Int = stages.last.id
   def resultSchema: Sch = stages.last.schema
@@ -91,8 +100,7 @@ final case class Computed(name: String, ty: ColType, reads: String*)(val f: (R, 
   * its output by the consumer's key for that side).
   */
 final class PlanBuilder(val name: String) {
-  private final case class Pending(
-    op: StageOp, upstreams: Vector[Int], schema: Sch, var outKey: R => Any)
+  import PlanBuilder.Pending
   private val buf = mutable.ArrayBuffer.empty[Pending]
 
   def input(table: String, schema: Sch)(fuse: Array[R] => Array[R]): Int = {
@@ -192,6 +200,10 @@ final class PlanBuilder(val name: String) {
 }
 
 object PlanBuilder {
+  /** A declared stage; its `outKey` is set when its consumer is declared. */
+  private final case class Pending(
+    op: StageOp, upstreams: Vector[Int], schema: Sch, var outKey: R => Any)
+
   /** Input kernel that maps the rows passing `keep` through `project`. */
   private[core] def filterProject(keep: R => Boolean, project: R => R): Array[R] => Array[R] =
     batch => {

@@ -65,16 +65,15 @@ object Recovery {
       // channel's last task exists, so the purge truncates at `cc`.
       e.outputHash(ch.idx).truncate(cc)
       e.gcs.rewind(ch.idx) // and their commits buffered past a gap
-      for (cs <- e.plan.consumers(ch.stage); dch <- e.channels(cs))
-        dch.truncate(e.slot(ch.stage, ch.ch), cc)
+      for (dch <- e.consumerChs(ch.stage)) dch.truncate(e.slot(ch.stage, ch.ch), cc)
       if (!e.plan.stages(ch.stage).stateful) {
         // stateless: committed reads are recovered data-parallel below;
         // the channel itself resumes with its remaining batches
-        ch.seq = cc; ch.replay = Nil
+        ch.seq = cc
       } else {
+        // stateful: replays its committed lineage, seqs 0 until cc
         if (ch.join != null) ch.join = new JoinState else ch.agg = new AggState
         ch.seq = 0
-        ch.replay = e.gcs.channelLog(ch.idx)
       }
     }
 
@@ -99,7 +98,7 @@ object Recovery {
               // lost together with its stateful producer: regenerated by the
               // producer's own replay (it is necessarily in the rewound set)
               val prod = e.channels(us)(uc)
-              require(s >= prod.seq && s < prod.seq + prod.replay.size,
+              require(s >= prod.seq,
                 s"partition ($us,$uc,$s) unrecoverable: no backup, producer not replaying")
           }
       }
@@ -124,10 +123,9 @@ object Recovery {
   private def scheduleSpoolFetch(e: Engine, us: Int, uc: Int, s: Int): Unit = {
     import e.cfg.cost
     val (slices, _) = e.spool(e.gcs.index(us, uc))(s)
-    val consumerStage = e.plan.consumers(us).head
     for (d <- slices.indices) {
       val rows = slices(d)
-      val dest = e.channels(consumerStage)(d)
+      val dest = e.consumerChs(us)(d)
       if (e.needsSlice(dest, e.slot(us, uc), s)) {
         val sbytes = rows.length.toLong * e.plan.stages(us).schema.rowBytes
         val w = e.workers(dest.worker)

@@ -105,7 +105,8 @@ class EngineBasicSpec extends SparkSpec {
       e.run()
       for (c <- 0 until w) {
         val i = e.gcs.index(0, c)
-        assert(e.gcs.channelLog(i) == (c until 5 by w).map(ReadRec).toList, s"workers=$w channel $c")
+        val log = (0 until e.gcs.committedCount(i)).map(e.gcs.rec(i, _))
+        assert(log == (c until 5 by w).map(ReadRec), s"workers=$w channel $c")
         assert(e.gcs.channelDone(i), s"workers=$w channel $c not done")
       }
     }

@@ -56,12 +56,12 @@ class GcsSpec extends AnyFunSuite {
     assert(g.channelDone(g.index(3, 1)))
   }
 
-  test("channelLog returns records in sequence order") {
+  test("rec returns each committed record by seq") {
     val g = newGcs()
     g.commit(g.index(0, 2), 0, ReadRec(0))
     g.commit(g.index(0, 2), 1, ReadRec(3))
     g.commit(g.index(0, 2), 2, ReadRec(6))
-    assert(g.channelLog(g.index(0, 2)) == List(ReadRec(0), ReadRec(3), ReadRec(6)))
+    assert((0 until 3).map(g.rec(g.index(0, 2), _)) == Seq(ReadRec(0), ReadRec(3), ReadRec(6)))
   }
 
   test("rec throws for uncommitted lineage") {

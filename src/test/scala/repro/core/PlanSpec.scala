@@ -42,6 +42,12 @@ class PlanSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](b.build())
   }
 
+  test("only the final stage aggregates") {
+    val b = new PlanBuilder("t")
+    mkAgg(b, mkAgg(b, b.input("a", sch)(identity)))
+    assertThrows[IllegalArgumentException](b.build())
+  }
+
   test("upstreams must precede their consumers (dense topological ids)") {
     val stages = Vector(
       Stage(0, InputOp("a", identity[Array[R]]), Vector.empty, sch, r => r(0)))

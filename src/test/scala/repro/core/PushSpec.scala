@@ -5,18 +5,19 @@ import repro.core.Rows.R
 
 /** `Engine.push`, the one path by which task outputs reach their
   * consumers, on a two-stage plan (scan -> agg) whose agg channel c sits
-  * on worker c.
+  * on worker c. The agg stage's one consumer is the collector on the head
+  * node.
   */
 class PushSpec extends AnyFunSuite {
   private val sch = Sch.of("k" -> CLong, "v" -> CLong)
 
-  private def engine(workers: Int): Engine = {
+  private def engine(workers: Int, rows: Array[R] = Array(Array[Any](1L, 1L)),
+                     batchRows: Int = 4096): Engine = {
     val b = new PlanBuilder("push")
     val s = b.input("a", sch)(identity)
     b.agg(s, r => Vector(r(0)), 1, sch)((acc, r) => acc(0) += Rows.lng(r, 1))(
       (k, a) => Array[Any](k(0), a(0)))
-    val rows: Array[R] = Array(Array[Any](1L, 1L))
-    new Engine(EngineConfig(workers), b.build(), Map("a" -> rows))
+    new Engine(EngineConfig(workers, inputBatchRows = batchRows), b.build(), Map("a" -> rows))
   }
 
   /** One row for each of the first two agg channels, by channel. */
@@ -64,6 +65,37 @@ class PushSpec extends AnyFunSuite {
     e.sim.run()
     assert(e.sim.now == last)
     assert(e.channels(1)(0).mailbox(e.slot(0, 2)).contains(0) && e.channels(1)(1).mailbox(e.slot(0, 2)).contains(0))
+  }
+
+  test("a final flush reaches the collector over the sender's NIC") {
+    val e = engine(2)
+    val net = e.workers(1).net.freeAt
+    val last = e.push(1, 2.0, 1, 1, 3, Array(slices(0)), epoch = 0)
+    assert(last == e.workers(1).net.freeAt && net < last && last > 2.0)
+    assert(e.metrics.shuffleBytes == sch.rowBytes)
+    e.sim.run()
+    assert(e.collector.mailbox(e.slot(1, 1)).contains(3))
+  }
+
+  test("a replayed flush already in the collector is not sent again") {
+    val e = engine(2)
+    e.collector.arrive(e.slot(1, 0), 2, slices(0))
+    val net = e.workers(0).net.freeAt
+    assert(e.push(0, 2.0, 1, 0, 2, Array(slices(0)), epoch = 0) == 2.0)
+    assert(e.sim.pendingEvents == 0 && e.workers(0).net.freeAt == net)
+    assert(e.metrics.shuffleBytes == 0)
+  }
+
+  test("a consume task of the final aggregation sends nothing") {
+    val e = engine(2, Array.tabulate(64)(i => Array[Any](i.toLong % 5, 1L)), batchRows = 4)
+    val rr = e.run()
+    assert(rr.rows.map(r => Rows.lng(r, 1)).sum == 64)
+    for (ch <- e.channels(1)) {
+      val flushSeq = e.gcs.committedCount(ch.idx) - 1
+      assert(flushSeq > 0, s"channel ${ch.ch} ran no consume task")
+      val mb = e.collector.mailbox(e.slot(1, ch.ch))
+      assert(mb.count == 1 && mb.contains(flushSeq), s"channel ${ch.ch} sent more than its flush")
+    }
   }
 
   test("a mailbox tracks the run of arrived slices across arrival, truncation and rewind") {

@@ -138,8 +138,30 @@ class RecoverySpec extends SparkSpec {
     assert(TestUtil.canon(rr.rows) == TestUtil.canon(ref.rows))
     for (c <- atKill) {
       val ch = e.channels(e.plan.last)(c)
-      assert(ch.worker != victim && ch.flushed && ch.replay.isEmpty, s"channel $c did not replay its flush")
+      assert(ch.worker != victim && ch.flushed && ch.seq == e.gcs.committedCount(ch.idx),
+        s"channel $c did not replay its flush")
     }
+  }
+
+  test("rewinding a final channel truncates its uncommitted flush from the collector") {
+    // scan -> agg on 3 workers; final channel c sits on worker c
+    val sch = Sch.of("k" -> CLong, "v" -> CLong)
+    val b = new PlanBuilder("rewind-final")
+    val s = b.input("a", sch)(identity)
+    b.agg(s, r => Vector(r(0)), 1, sch)((acc, r) => acc(0) += Rows.lng(r, 1))(
+      (k, a) => Array[Any](k(0), a(0)))
+    val e = new Engine(base, b.build(), Map("a" -> Array.empty[Rows.R]))
+    val flush: Array[Rows.R] = Array(Array[Any](1L, 2L))
+    val Vector(c0, c1, _) = e.channels(e.plan.last)
+    e.collector.arrive(e.slot(1, 0), 0, flush) // channel 0's flush, uncommitted
+    e.collector.arrive(e.slot(1, 1), 0, flush) // channel 1's flush, committed
+    e.gcs.commit(c1.idx, 0, FlushRec, markDone = true)
+    e.workers(0).deadAt = 0.0
+    e.workers(1).deadAt = 0.0
+    Recovery.plan(e)
+    assert(c0.worker == 2 && c1.worker == 2)
+    assert(!e.collector.mailbox(e.slot(1, 0)).contains(0), "uncommitted flush kept")
+    assert(e.collector.mailbox(e.slot(1, 1)).contains(0), "committed flush dropped")
   }
 
   test("recovery keeps the committed-lineage-only invariant observable") {
