@@ -6,13 +6,14 @@ import repro.queries.{TpchData, TpchLite}
 
 /** Bit-identity gate for the simulated numbers. For each representative
   * query at SF 0.005 it pins the raw bits of the simulated clock, every
-  * [[Metrics]] counter and the GCS telemetry, under five systems: clean
+  * [[Metrics]] counter and the GCS telemetry, under six systems: clean
   * 4-worker Quokka, 16-worker Quokka and 4-worker Spark-like with worker 1
-  * killed at 50% of the clean run, and 4-worker S3 spooling, clean and
-  * with worker 1 killed at 50% (spooled recovery fetches every lost
-  * partition from the store). A
-  * change to the engine's control state that keeps the event order and
-  * the arithmetic leaves every line unchanged; a change that means to move
+  * killed at 50% of the clean run, 4-worker S3 spooling, clean and with
+  * worker 1 killed at 50% (spooled recovery fetches every lost partition
+  * from the store), and clean 4-worker incremental checkpointing every
+  * 0.25 s (`ckptBytes` is computed from the state row counts). A change
+  * to the engine's control state that keeps the event order and the
+  * arithmetic leaves every line unchanged; a change that means to move
   * these numbers re-records them and says why.
   */
 class GoldenSpec extends SparkSpec {
@@ -38,11 +39,16 @@ class GoldenSpec extends SparkSpec {
     ("spark-like-4 kill", Systems.sparkLike(4), true),
     ("quokka-spool-4 clean", Systems.quokkaSpool(4), false),
     ("quokka-spool-4 kill", Systems.quokkaSpool(4), true),
+    ("quokka-ckpt-4 clean", Systems.quokkaCkpt(4, 0.25, incremental = true), false),
   )
 
   /** Recorded at the commit before the control state became dense; the
     * spool-kill lines at the commit before task bookkeeping was derived
-    * from the (stage, channel, seq) name.
+    * from the (stage, channel, seq) name; the checkpoint lines at the
+    * commit before join keys became columns. At SF 0.005 every query
+    * finishes in under 2.7 simulated seconds, so the checkpoint interval is
+    * 0.25 s: at 2.5 s no tick would find a channel still running and
+    * `ckptBytes` would read 0.
     */
   private val recordedHeader = "query sim abortedTasks backupBytes ckptBytes recoveredPartitions " +
     "replayTasks repushJobs rereadJobs rewoundChannels shuffleBytes spoolBytes tasks txns lineageBytes"
@@ -96,6 +102,16 @@ class GoldenSpec extends SparkSpec {
       "q7 4618658203498347622 0 0 0 125 18 0 0 12 602672 606224 277 278 4796",
       "q8 4622321806692572012 0 0 0 221 49 0 0 16 1804824 1880168 524 511 9168",
       "q9 4621306518263213717 0 0 0 136 26 0 0 12 2285344 2389888 396 393 7112",
+    ),
+    "quokka-ckpt-4 clean" -> Vector(
+      "q1 4603789786429867928 0 8544 624 0 0 0 0 0 8544 0 35 35 608",
+      "q6 4603778939188479717 0 256 16 0 0 0 0 0 256 0 35 35 608",
+      "q3 4608327787936633098 0 665360 55520 0 0 0 0 0 665360 0 124 135 2368",
+      "q10 4608554378549307674 0 318832 59136 0 0 0 0 0 318832 0 173 191 3344",
+      "q5 4613088956779855277 0 1069168 388216 0 0 0 0 0 1069168 0 238 270 4636",
+      "q7 4609407633046265992 0 590144 518192 0 0 0 0 0 590144 0 251 283 4896",
+      "q8 4613214667908623758 0 1780632 491104 0 0 0 0 0 1780632 0 409 455 8048",
+      "q9 4613009533949787759 0 2268632 752088 0 0 0 0 0 2268632 0 324 355 6352",
     ),
   )
 
