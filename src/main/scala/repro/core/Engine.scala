@@ -62,10 +62,11 @@ private[core] final class WorkerRt(val id: Int, cores: Int) {
   def alive(t: Double): Boolean = t < deadAt
 }
 
+/** A join channel's state: each side's rows by key. */
 private[core] final class JoinState {
-  val left = mutable.LinkedHashMap.empty[Any, mutable.ArrayBuffer[R]]
-  val right = mutable.LinkedHashMap.empty[Any, mutable.ArrayBuffer[R]]
-  var rows = 0L
+  val left = new JoinTable
+  val right = new JoinTable
+  def rows: Long = left.size + right.size
 }
 
 private[core] final class AggState {
@@ -243,12 +244,6 @@ final class Engine(
 
   private def stageOf(id: Int): Stage = plan.stages(id)
 
-  private def hashKey(k: Any): Int = {
-    val h = k.hashCode
-    val m = h % C
-    if (m < 0) m + C else m
-  }
-
   /** Launch what `ch` can run and check whether it is done; the collector
     * runs no tasks.
     */
@@ -371,30 +366,26 @@ final class Engine(
     (out, cpu)
   }
 
-  /** Symmetric hash join step: insert each row into its side's table, probe
-    * the other side. Output multiset is independent of interleaving.
+  /** Symmetric hash join step: insert each row into its side's table, then
+    * emit its pairs with the other side's rows of its key, in their arrival
+    * order. Output multiset is independent of interleaving.
     */
   private def runJoinKernel(ch: ChannelRt, op: JoinOp, uStage: Int, rows: Array[R]): Array[R] = {
-    val st = ch.join
-    val out = mutable.ArrayBuffer.empty[R]
     val fromLeft = uStage == op.leftUp
+    val (key, own, other) =
+      if (fromLeft) (op.lKey, ch.join.left, ch.join.right) else (op.rKey, ch.join.right, ch.join.left)
+    val out = mutable.ArrayBuffer.empty[R]
     var i = 0
     while (i < rows.length) {
       val r = rows(i)
-      if (fromLeft) {
-        val k = op.lKey(r)
-        st.left.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += r
-        st.rows += 1
-        st.right.get(k).foreach(_.foreach { other =>
-          val e = op.emit(r, other); if (e != null) out += e
-        })
-      } else {
-        val k = op.rKey(r)
-        st.right.getOrElseUpdate(k, mutable.ArrayBuffer.empty) += r
-        st.rows += 1
-        st.left.get(k).foreach(_.foreach { other =>
-          val e = op.emit(other, r); if (e != null) out += e
-        })
+      val a = key.first(r)
+      val b = key.second(r)
+      own.add(a, b, r)
+      var j = other.first(a, b)
+      while (j >= 0) {
+        val e = if (fromLeft) op.emit(r, other.row(j)) else op.emit(other.row(j), r)
+        if (e != null) out += e
+        j = other.next(j)
       }
       i += 1
     }
@@ -480,7 +471,7 @@ final class Engine(
     if (consumerChs(stage.id).size == 1) Array(out)
     else {
       val parts = Array.fill(C)(mutable.ArrayBuffer.empty[R])
-      out.foreach(r => parts(hashKey(stage.outKey(r))) += r)
+      out.foreach(r => parts(Engine.channelOf(stage.outHash(r), C)) += r)
       parts.map(_.toArray)
     }
   }
@@ -764,5 +755,13 @@ final class Engine(
       collector.mailbox(c)(gcs.committedCount(gcs.index(plan.last, c)) - 1)
     }
     RunResult(rows, plan.resultSchema, finishT, metrics, gcs.txns, gcs.lineageBytes)
+  }
+}
+
+object Engine {
+  /** Consumer channel, of `c`, of a row whose partitioning key hashes to `h`. */
+  private[core] def channelOf(h: Int, c: Int): Int = {
+    val m = h % c
+    if (m < 0) m + c else m
   }
 }

@@ -1,7 +1,9 @@
 package repro.core
 
-import repro.core.Rows.R
+import repro.core.Rows.{R, lng}
 import scala.collection.mutable
+import scala.runtime.Statics
+import scala.util.hashing.MurmurHash3
 
 /** Physical operators of the pipelined engine (paper Fig 1 / §IV-A).
   *
@@ -24,13 +26,52 @@ final case class InputOp(table: String, fuse: Array[R] => Array[R]) extends Stag
   * side's hash table and probed against the other side's table. The state
   * variable is the pair of hash tables — it grows monotonically, which is
   * exactly the state the paper argues makes checkpointing O(N^2).
-  * `emit` may return null to drop a pair (join-level residual predicates).
+  * Each side's key is one or two `CLong` columns ([[JoinKey]]). `emit`
+  * builds an output row from a (left, right) pair, or returns null to drop
+  * it (join-level residual predicates). [[PlanBuilder.joinOn]] builds the
+  * emit of a join that selects columns; TpchLite writes the emit by hand
+  * where it filters on a residual predicate (Q5, Q7) or computes a value
+  * from both sides (Q9's `amount`, Q14's `promoRev`, Q19's filtered `rev`).
   */
 final case class JoinOp(
   leftUp: Int, rightUp: Int,
-  lKey: R => Any, rKey: R => Any,
+  lKey: JoinKey, rKey: JoinKey,
   emit: (R, R) => R,
 ) extends StageOp
+
+/** A join side's key: the `CLong` column `a`, or the pair of columns
+  * (`a`, `b`); `b` is -1 for a one-column key. The join table keys a row
+  * by (`first`, `second`), with `second` 0 for a one-column key. `hash`,
+  * the producers' partitioning hash, is the `hashCode` of the boxed key, a
+  * `java.lang.Long` or a `Tuple2` of two, computed without boxing; the
+  * recorded simulated numbers depend on this partitioning.
+  */
+final case class JoinKey(a: Int, b: Int) {
+  def first(r: R): Long = lng(r, a)
+  def second(r: R): Long = if (b < 0) 0L else lng(r, b)
+  def hash(r: R): Int =
+    if (b < 0) java.lang.Long.hashCode(lng(r, a)) else JoinKey.pairHash(lng(r, a), lng(r, b))
+}
+
+object JoinKey {
+  /** The key of the columns `names` of `sch`: one or two, each a `CLong`. */
+  def of(sch: Sch, names: Seq[String], plan: String): JoinKey = {
+    require(names.size == 1 || names.size == 2,
+      s"join key ${names.mkString(",")} has ${names.size} columns, not 1 or 2, in plan $plan")
+    val at = names.map { n =>
+      val i = sch.idx(n)
+      require(sch.cols(i)._2 == CLong, s"join key $n is ${sch.cols(i)._2}, not CLong, in plan $plan")
+      i
+    }
+    JoinKey(at.head, if (at.size == 2) at(1) else -1)
+  }
+
+  private val tuple2Seed = Statics.mix(MurmurHash3.productSeed, "Tuple2".hashCode)
+
+  /** `(x, y).hashCode`, computed without boxing. */
+  def pairHash(x: Long, y: Long): Int =
+    Statics.finalizeHash(Statics.mix(Statics.mix(tuple2Seed, Statics.longHash(x)), Statics.longHash(y)), 2)
+}
 
 /** Streaming aggregation: state is a key -> Array[Long] accumulator map
   * (all accumulators are exact fixed-point sums/counts); `key` is both the
@@ -47,16 +88,18 @@ final case class AggOp(
   override def emits(rec: LineageRec): Boolean = rec == FlushRec
 }
 
-/** One stage of the plan. `outKey` is the partitioning key towards the
-  * consumer stage (null for the final stage, whose one consumer, the
-  * head-node collector, gets the whole flush output).
+/** One stage of the plan. `outHash` is the hash of a row's partitioning
+  * key towards the consumer stage, its join key or its group; the row goes
+  * to consumer channel `outHash(row)` mod C (null for the final stage,
+  * whose one consumer, the head-node collector, gets the whole flush
+  * output).
   */
 final case class Stage(
   id: Int,
   op: StageOp,
   upstreams: Vector[Int],
   schema: Sch,
-  outKey: R => Any,
+  outHash: R => Int,
 ) {
   def stateful: Boolean = op match {
     case _: InputOp => false
@@ -97,7 +140,8 @@ final case class Computed(name: String, ty: ColType, reads: String*)(val f: (R, 
 
 /** Imperative builder for tree-shaped plans. Partitioning keys of producer
   * stages are fixed when their consumer is declared (a producer partitions
-  * its output by the consumer's key for that side).
+  * its output by the consumer's key for that side). Join keys are named
+  * and resolved to column indices here, when the plan is built.
   */
 final class PlanBuilder(val name: String) {
   import PlanBuilder.Pending
@@ -146,7 +190,6 @@ final class PlanBuilder(val name: String) {
     */
   def joinOn(left: Int, right: Int, on: (String, String), cols: String*): Int = {
     val (ls, rs) = (buf(left).schema, buf(right).schema)
-    val (lk, rk) = (ls.idx(on._1), rs.idx(on._2))
     val sides = cols.toArray.map { n =>
       (ls.names.contains(n), rs.names.contains(n)) match {
         case (true, false) => (true, ls.idx(n))
@@ -171,15 +214,24 @@ final class PlanBuilder(val name: String) {
         }
         o
       }
-    join(left, right, r => r(lk), r => r(rk), schema)(emit)
+    join(left, right, Seq(on._1) -> Seq(on._2), schema)(emit)
   }
 
-  def join(left: Int, right: Int, lKey: R => Any, rKey: R => Any,
+  /** Equi-join of `left` and `right` on the key columns named by
+    * `on = (leftKey, rightKey)`, one or two `CLong` columns per side, with
+    * output rows built by `emit`. A key of another type, or key lists of
+    * different lengths, fail here, when the plan is built.
+    */
+  def join(left: Int, right: Int, on: (Seq[String], Seq[String]),
            schema: Sch)(emit: (R, R) => R): Int = {
-    require(buf(left).outKey == null && buf(right).outKey == null,
+    require(buf(left).outHash == null && buf(right).outHash == null,
       "a stage can feed only one consumer")
-    buf(left).outKey = lKey
-    buf(right).outKey = rKey
+    require(on._1.size == on._2.size,
+      s"join keys ${on._1.mkString(",")} and ${on._2.mkString(",")} differ in length in plan $name")
+    val lKey = JoinKey.of(buf(left).schema, on._1, name)
+    val rKey = JoinKey.of(buf(right).schema, on._2, name)
+    buf(left).outHash = lKey.hash
+    buf(right).outHash = rKey.hash
     buf += Pending(JoinOp(left, right, lKey, rKey, emit), Vector(left, right), schema, null)
     buf.size - 1
   }
@@ -187,22 +239,22 @@ final class PlanBuilder(val name: String) {
   def agg(up: Int, key: R => Vector[Any], nAccs: Int,
           schema: Sch)(update: (Array[Long], R) => Unit)(
           finish: (Vector[Any], Array[Long]) => R): Int = {
-    require(buf(up).outKey == null, "a stage can feed only one consumer")
-    buf(up).outKey = key
+    require(buf(up).outHash == null, "a stage can feed only one consumer")
+    buf(up).outHash = key(_).hashCode
     buf += Pending(AggOp(key, nAccs, update, finish), Vector(up), schema, null)
     buf.size - 1
   }
 
   def build(): Plan =
     Plan(buf.toVector.zipWithIndex.map { case (p, i) =>
-      Stage(i, p.op, p.upstreams, p.schema, p.outKey)
+      Stage(i, p.op, p.upstreams, p.schema, p.outHash)
     }, name)
 }
 
 object PlanBuilder {
-  /** A declared stage; its `outKey` is set when its consumer is declared. */
+  /** A declared stage; its `outHash` is set when its consumer is declared. */
   private final case class Pending(
-    op: StageOp, upstreams: Vector[Int], schema: Sch, var outKey: R => Any)
+    op: StageOp, upstreams: Vector[Int], schema: Sch, var outHash: R => Int)
 
   /** Input kernel that maps the rows passing `keep` through `project`. */
   private[core] def filterProject(keep: R => Boolean, project: R => R): Array[R] => Array[R] =

@@ -62,13 +62,16 @@ final case class Q(
   * Scans are [[PlanBuilder.scan]]s and column-selecting joins are
   * [[PlanBuilder.joinOn]]s, which state their columns once, by name; a
   * scan's computed columns (`rev`, `qty`, the years, `cost`, the `hi` and
-  * `promo` flags) are [[Computed]] columns defined once below. Stages stay
-  * hand-written where a name list cannot say what they do: Q1's and Q6's
-  * pre-aggregating scans, and the joins with a residual predicate (Q5, Q7,
-  * Q19; by name, Q5 would change its partitioning key and Q7 would need
-  * `n_name` from both sides), a two-sided value (Q14, Q9's `amount`) or a
-  * composite key (Q9's partsupp join). Intermediate columns keep their
-  * source names; only the final aggregation names the result columns.
+  * `promo` flags) are [[Computed]] columns defined once below. Every join
+  * names its key columns, all `CLong`; Q9's partsupp join is keyed by a
+  * pair. Q1's and Q6's pre-aggregating scans are written by hand, and so
+  * are the emits of five joins, where a name list cannot say what they do:
+  * the residual predicates of Q5 (`n_nationkey = s_nationkey`; as a pair
+  * key it would change the partitioning key `l_suppkey`/`s_suppkey`) and
+  * Q7 (it needs `n_name` from both sides), and the values computed from
+  * both sides in Q9 (`amount`), Q14 (`promoRev`) and Q19 (`rev` of the
+  * pairs its predicate keeps). Intermediate columns keep their source
+  * names; only the final aggregation names the result columns.
   */
 object TpchLite {
   import Money.{c2, charge6, rev4}
@@ -266,7 +269,7 @@ object TpchLite {
       val j4 = b.joinOn(j3, li, "o_orderkey" -> "l_orderkey",
         "l_suppkey", "n_nationkey", "n_name", "rev")
       val su = b.scan("supplier", Su, "s_suppkey", "s_nationkey")(_ => true)
-      val j5 = b.join(j4, su, r => lng(r, 0), r => lng(r, 0),
+      val j5 = b.join(j4, su, Seq("l_suppkey") -> Seq("s_suppkey"),
         S("n_name" -> CString, "rev" -> CLong)) { (a, s) =>
         if (lng(a, 1) == lng(s, 1)) Array[Any](str(a, 2), lng(a, 3)) else null
       }
@@ -309,7 +312,7 @@ object TpchLite {
       val n2 = b.scan("nation", N, "n_nationkey", "n_name")(either)
       val cu = b.scan("customer", Cu, "c_custkey", "c_nationkey")(_ => true)
       val j4 = b.joinOn(n2, cu, "n_nationkey" -> "c_nationkey", "c_custkey", "n_name")
-      val j5 = b.join(j3, j4, r => lng(r, 0), r => lng(r, 0),
+      val j5 = b.join(j3, j4, Seq("o_custkey") -> Seq("c_custkey"),
         S("n1" -> CString, "n2" -> CString, "l_year" -> CLong, "rev" -> CLong)) { (a, c) =>
         val na = str(a, 1); val nb = str(c, 1)
         if ((na == NA && nb == NB) || (na == NB && nb == NA))
@@ -402,8 +405,7 @@ object TpchLite {
       val j2 = b.joinOn(j1, su, "l_suppkey" -> "s_suppkey",
         "l_partkey", "l_suppkey", "l_orderkey", "qty", "rev", "s_nationkey")
       val ps = b.scan("partsupp", Ps, "ps_partkey", "ps_suppkey", cost)(_ => true)
-      val j3 = b.join(j2, ps,
-        r => (lng(r, 0), lng(r, 1)), r => (lng(r, 0), lng(r, 1)),
+      val j3 = b.join(j2, ps, Seq("l_partkey", "l_suppkey") -> Seq("ps_partkey", "ps_suppkey"),
         S("l_orderkey" -> CLong, "s_nationkey" -> CLong, "amount" -> CLong)) { (a, p) =>
         val amount = lng(a, 4) - lng(p, 2) * lng(a, 3) * 100L
         Array[Any](lng(a, 2), lng(a, 5), amount)
@@ -468,7 +470,7 @@ object TpchLite {
       val li = b.scan("lineitem", L, "l_partkey", rev)(
         r => { val d = str(r, ship); d >= "1995-09-01" && d < "1995-10-01" })
       val pa = b.scan("part", P, "p_partkey", promo)(_ => true)
-      val j1 = b.join(pa, li, r => lng(r, 0), r => lng(r, 0),
+      val j1 = b.join(pa, li, Seq("p_partkey") -> Seq("l_partkey"),
         S("promoRev" -> CLong, "rev" -> CLong)) { (p, l) =>
         val rev = lng(l, 1)
         Array[Any](if (lng(p, 1) == 1L) rev else 0L, rev)
@@ -494,7 +496,7 @@ object TpchLite {
       val b = new PlanBuilder("q19")
       val li = b.scan("lineitem", L, "l_partkey", qty, rev)(_ => true)
       val pa = b.scan("part", P, "p_partkey", "p_type", "p_size")(_ => true)
-      val j1 = b.join(pa, li, r => lng(r, 0), r => lng(r, 0),
+      val j1 = b.join(pa, li, Seq("p_partkey") -> Seq("l_partkey"),
         S("rev" -> CLong)) { (p, l) =>
         val ty = str(p, 1); val sz = lng(p, 2); val q = lng(l, 1)
         val ok = (ty == "SMALL" && q >= 1 && q <= 11 && sz >= 1 && sz <= 5) ||

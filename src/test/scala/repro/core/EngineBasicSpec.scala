@@ -29,7 +29,7 @@ class EngineBasicSpec extends SparkSpec {
     val b = new PlanBuilder("mini-join")
     val sa = b.input("a", sch2)(identity)
     val sb = b.input("b", sch2)(identity)
-    val j = b.join(sa, sb, r => r(0), r => r(0), sch2) { (l, r) =>
+    val j = b.join(sa, sb, Seq("k") -> Seq("k"), sch2) { (l, r) =>
       Array[Any](lng(l, 0), lng(l, 1) * lng(r, 1))
     }
     b.agg(j, r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(
@@ -65,7 +65,7 @@ class EngineBasicSpec extends SparkSpec {
     val b = new PlanBuilder("mini-filter-join")
     val sa = b.input("a", sch2)(identity)
     val sb = b.input("b", sch2)(identity)
-    val j = b.join(sa, sb, r => r(0), r => r(0), sch2) { (l, r) =>
+    val j = b.join(sa, sb, Seq("k") -> Seq("k"), sch2) { (l, r) =>
       if (lng(r, 1) > 1L) Array[Any](lng(l, 0), lng(r, 1)) else null
     }
     b.agg(j, r => Vector(r(0)), 1, sch2)((acc, r) => acc(0) += lng(r, 1))(

@@ -14,11 +14,11 @@ class PlanSpec extends AnyFunSuite {
     val b = new PlanBuilder("t")
     val s0 = b.input("a", sch)(identity)
     val s1 = b.input("b", sch)(identity)
-    val j = b.join(s0, s1, r => r(0), r => r(0), sch)((l, _) => l)
+    val j = b.join(s0, s1, Seq("k") -> Seq("k"), sch)((l, _) => l)
     mkAgg(b, j)
     val p = b.build()
     assert(p.stages.size == 4)
-    assert(p.stages(0).outKey != null && p.stages(1).outKey != null)
+    assert(p.stages(0).outHash != null && p.stages(1).outHash != null)
     assert(p.consumers(0) == Vector(2) && p.consumers(2) == Vector(3))
     assert(p.last == 3)
     assert(!p.stages(0).stateful && p.stages(2).stateful)
@@ -28,9 +28,9 @@ class PlanSpec extends AnyFunSuite {
     val b = new PlanBuilder("t")
     val s0 = b.input("a", sch)(identity)
     val s1 = b.input("b", sch)(identity)
-    b.join(s0, s1, r => r(0), r => r(0), sch)((l, _) => l)
+    b.join(s0, s1, Seq("k") -> Seq("k"), sch)((l, _) => l)
     assertThrows[IllegalArgumentException] {
-      b.join(s0, s1, r => r(0), r => r(0), sch)((l, _) => l)
+      b.join(s0, s1, Seq("k") -> Seq("k"), sch)((l, _) => l)
     }
   }
 
@@ -38,7 +38,7 @@ class PlanSpec extends AnyFunSuite {
     val b = new PlanBuilder("t")
     val s0 = b.input("a", sch)(identity)
     val s1 = b.input("b", sch)(identity)
-    b.join(s0, s1, r => r(0), r => r(0), sch)((l, _) => l)
+    b.join(s0, s1, Seq("k") -> Seq("k"), sch)((l, _) => l)
     assertThrows[IllegalArgumentException](b.build())
   }
 
@@ -50,7 +50,7 @@ class PlanSpec extends AnyFunSuite {
 
   test("upstreams must precede their consumers (dense topological ids)") {
     val stages = Vector(
-      Stage(0, InputOp("a", identity[Array[R]]), Vector.empty, sch, r => r(0)))
+      Stage(0, InputOp("a", identity[Array[R]]), Vector.empty, sch, r => r(0).hashCode))
     assertThrows[IllegalArgumentException] {
       Plan(stages :+ Stage(2, InputOp("b", identity[Array[R]]), Vector.empty, sch, null), "bad")
     }
@@ -63,7 +63,8 @@ class PlanSpec extends AnyFunSuite {
   /** Every output row of join stage `j` for the given left and right rows. */
   private def joinRows(p: Plan, j: Int, left: Array[R], right: Array[R]): Vector[Vector[Any]] = {
     val op = p.stages(j).op.asInstanceOf[JoinOp]
-    for (l <- left.toVector; r <- right.toVector if op.lKey(l) == op.rKey(r);
+    def key(k: JoinKey, r: R) = (k.first(r), k.second(r))
+    for (l <- left.toVector; r <- right.toVector if key(op.lKey, l) == key(op.rKey, r);
          o = op.emit(l, r) if o != null) yield o.toVector
   }
 
@@ -137,7 +138,7 @@ class PlanSpec extends AnyFunSuite {
       val sb = b.input("b", other)(identity)
       val j =
         if (named) b.joinOn(sa, sb, "id" -> "ref", "qty", "name", "id")
-        else b.join(sa, sb, r => r(0), r => r(0),
+        else b.join(sa, sb, Seq("id") -> Seq("ref"),
           Sch.of("qty" -> CLong, "name" -> CString, "id" -> CLong)) { (a, o) =>
           Array[Any](o(1), a(1), a(0))
         }
@@ -150,7 +151,7 @@ class PlanSpec extends AnyFunSuite {
     assert(rows.size == 3)
     assert(rows == joinRows(byHand, 2, srcRows, otherRows))
     for (s <- 0 to 1; r <- srcRows ++ otherRows)
-      assert(named.stages(s).outKey(r) == byHand.stages(s).outKey(r))
+      assert(named.stages(s).outHash(r) == byHand.stages(s).outHash(r))
   }
 
   test("joinOn passes on a side it keeps whole and copies any other selection") {
@@ -181,6 +182,30 @@ class PlanSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](attempt("id" -> "id", "missing"))
     assertThrows[NoSuchElementException](attempt("nokey" -> "id", "qty"))
     assertThrows[NoSuchElementException](attempt("id" -> "nokey", "qty"))
+  }
+
+  test("join keys are one or two CLong columns, as many on each side, checked at plan build") {
+    val typed = Sch.of("id" -> CLong, "sub" -> CLong, "name" -> CString, "price" -> CDouble)
+    def attempt(l: String*)(r: String*): Unit = {
+      val b = new PlanBuilder("t")
+      val sa = b.input("a", typed)(identity)
+      val sb = b.input("b", typed)(identity)
+      b.join(sa, sb, l -> r, typed)((x, _) => x)
+    }
+    attempt("id")("id")
+    attempt("id", "sub")("sub", "id")
+    assertThrows[IllegalArgumentException](attempt("name")("name"))
+    assertThrows[IllegalArgumentException](attempt("id")("price"))
+    assertThrows[IllegalArgumentException](attempt("id", "name")("id", "sub"))
+    assertThrows[IllegalArgumentException](attempt("id")("id", "sub"))
+    assertThrows[IllegalArgumentException](attempt("id", "sub")("id"))
+    assertThrows[IllegalArgumentException](attempt()())
+    assertThrows[IllegalArgumentException](attempt("id", "sub", "id")("id", "sub", "id"))
+    assertThrows[IllegalArgumentException] {
+      val b = new PlanBuilder("t")
+      val sb = b.input("b", Sch.of("tag" -> CString, "qty" -> CLong))(identity)
+      b.joinOn(b.input("a", typed)(identity), sb, "name" -> "tag", "qty")
+    }
   }
 
   test("static batch size must be positive") {
