@@ -134,18 +134,35 @@ private[core] final case class HeldTask(
   stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
   slices: Array[Array[R]], readyAt: Double)
 
+/** A persisted task output, its slices by consumer channel and its bytes,
+  * kept at `where`: a worker, whose disk holds it as an unreliable upstream
+  * backup, or [[Engine.Store]], the reliable store, for a spooled copy.
+  */
+private[core] final case class Copy(where: Int, slices: Array[Array[R]], bytes: Long)
+
 /** Counters for the overhead/recovery experiments. */
 final class Metrics {
+  /** Tasks run by channels: first executions and replays, aborted ones included. */
   var tasks = 0L
+  /** Tasks run inside their channel's committed prefix, i.e. replays. */
   var replayTasks = 0L
+  /** Recovery re-deliveries of a partition from its copy, on a disk or in the store. */
   var repushJobs = 0L
+  /** Lost input partitions that recovery re-executed on a live worker. */
   var rereadJobs = 0L
+  /** Channels rewound and reassigned because their worker died. */
   var rewoundChannels = 0L
+  /** Tasks whose CPU ended after their worker died or their channel was rewound. */
   var abortedTasks = 0L
+  /** Bytes of every slice delivered: over a NIC, on the sending worker or from the store. */
   var shuffleBytes = 0L
+  /** Bytes of upstream backups written to disk, by tasks and by re-reads. */
   var backupBytes = 0L
+  /** Bytes of task outputs spooled to the reliable store. */
   var spoolBytes = 0L
+  /** Bytes of channel state written to the reliable store by checkpoints. */
   var ckptBytes = 0L
+  /** Committed partitions that recovery plans restored: re-pushed, re-read or replayed. */
   var recoveredPartitions = 0L
 }
 
@@ -219,13 +236,10 @@ final class Engine(
     case _ => Vector.empty
   }
 
-  /** Unreliable producer-local backups, by channel index and seq:
-    * (worker, slices by consumer channel, bytes).
+  /** Persisted task outputs, by channel index and seq. A worker's death
+    * drops the copies on its disk; store copies survive every failure.
     */
-  private[core] val backups =
-    Vector.fill(plan.stages.size * C)(new SeqBuf[(Int, Array[Array[R]], Long)])
-  /** Reliable spooled partitions (survive any worker failure). */
-  private[core] val spool = Vector.fill(plan.stages.size * C)(new SeqBuf[(Array[Array[R]], Long)])
+  private[core] val copies = Vector.fill(plan.stages.size * C)(new SeqBuf[Copy])
   /** Content digest of each task's output — replay-identity invariant. */
   private[core] val outputHash = Vector.fill(plan.stages.size * C)(new SeqBuf[java.lang.Long])
   /** Tasks whose commit is withheld until recovery. */
@@ -442,7 +456,7 @@ final class Engine(
   }
 
   /** Common task tail: charge CPU, then at CPU completion partition the
-    * output, persist (backup/spool), push slices, and commit the lineage —
+    * output, persist it, push slices, and commit the lineage —
     * Algorithm 1's execute / store / push / commit sequence. A task whose
     * seq is inside the committed prefix is a replay.
     */
@@ -479,24 +493,11 @@ final class Engine(
   private def completeTask(ch: ChannelRt, epoch: Int, mySeq: Int, rec: LineageRec,
                            out: Array[R]): Unit = {
     val stage = stageOf(ch.stage)
-    val w = workers(ch.worker)
     val slices = if (stage.op.emits(rec)) sliceUp(stage, out) else Array.empty[Array[R]]
     val bytes = out.length.toLong * stage.schema.rowBytes
 
     checkOutput(ch.stage, ch.ch, mySeq, out, "replay")
-
-    // persist: upstream backup to local disk, or spool to the reliable store
-    var persistEnd = sim.now
-    if (cfg.ft.upstreamBackup) {
-      persistEnd = w.disk.use(sim.now, cost.diskS(bytes))
-      backups(ch.idx)(mySeq) = (ch.worker, slices, bytes)
-      metrics.backupBytes += bytes
-    }
-    if (cfg.ft.spooling) {
-      persistEnd = w.storeLink.use(sim.now, cost.storeS(bytes, consumerChs(ch.stage).size))
-      spool(ch.idx)(mySeq) = (slices, bytes)
-      metrics.spoolBytes += bytes
-    }
+    val persistEnd = persist(ch.worker, ch.idx, mySeq, slices, bytes)
 
     val replay = mySeq < gcs.committedCount(ch.idx)
 
@@ -517,6 +518,23 @@ final class Engine(
     val commitAt = math.max(persistEnd, lastNet) + commitLatS
     scheduleCommit(ch, epoch, mySeq, rec, slices, commitAt)
   }
+
+  /** Persist the output of task (idx, seq), written by `worker`: an upstream
+    * backup on its disk, or a put to the reliable store of one object per
+    * consumer channel (`idx / C` is the stage); nothing without either.
+    * Tasks and re-reads both persist here. Returns when the write ends.
+    */
+  private[core] def persist(worker: Int, idx: Int, seq: Int, slices: Array[Array[R]],
+                            bytes: Long): Double =
+    if (cfg.ft.upstreamBackup) {
+      copies(idx)(seq) = Copy(worker, slices, bytes)
+      metrics.backupBytes += bytes
+      workers(worker).disk.use(sim.now, cost.diskS(bytes))
+    } else if (cfg.ft.spooling) {
+      copies(idx)(seq) = Copy(Engine.Store, slices, bytes)
+      metrics.spoolBytes += bytes
+      workers(worker).storeLink.use(sim.now, cost.storeS(bytes, consumerChs(idx / C).size))
+    } else sim.now
 
   /** Replay identity: a task run again (`rerun`: a replay or a re-read)
     * must regenerate the output whose hash its first run recorded.
@@ -563,18 +581,18 @@ final class Engine(
     }
   }
 
-  /** Send the output slices of task (ps, pc, seq) from worker `from`,
-    * starting no earlier than `start`, to every consumer channel that still
-    * needs them and sits on a live worker. The final stage's one consumer
-    * is the collector on the head node, so the query result travels this
-    * path too. A consumer on the sending worker gets its slice without
-    * using the NIC. Every first push, replay, re-read and recovery re-push
-    * goes through here. Returns the last arrival time (`start` if nothing
-    * was sent).
+  /** Send the output slices of task (ps, pc, seq) from worker `from`, or
+    * from the store, starting no earlier than `start`, to every consumer
+    * channel that still needs them and sits on a live worker. The final
+    * stage's one consumer is the collector on the head node, so the query
+    * result travels this path too. A consumer on the sending worker gets
+    * its slice without using the NIC; a slice from the store is one object
+    * over the consumer's own store link. Every first push, replay, re-read
+    * and recovery re-push goes through here. Returns the last arrival time
+    * (`start` if nothing was sent).
     */
   private[core] def push(from: Int, start: Double, ps: Int, pc: Int, seq: Int,
                          slices: Array[Array[R]], epoch: Int): Double = {
-    val net = workers(from).net
     val rowBytes = stageOf(ps).schema.rowBytes
     val p = slot(ps, pc)
     var last = start
@@ -584,8 +602,9 @@ final class Engine(
       if (needsSlice(dest, p, seq) && live(dest.worker)) {
         val bytes = rows.length.toLong * rowBytes
         val arrive =
-          if (dest.worker == from) math.max(start, last) + 1e-6
-          else net.use(start, cost.netS(bytes))
+          if (from == Engine.Store) workers(dest.worker).storeLink.use(start, cost.storeS(bytes, 1))
+          else if (dest.worker == from) math.max(start, last) + 1e-6
+          else workers(from).net.use(start, cost.netS(bytes))
         last = math.max(last, arrive)
         metrics.shuffleBytes += bytes
         val sentTo = dest.worker
@@ -601,7 +620,7 @@ final class Engine(
   private[core] def needsSlice(dest: ChannelRt, p: Int, seq: Int): Boolean =
     dest.consumed(p) <= seq && !dest.mailbox(p).contains(seq)
 
-  private[core] def sliceArrive(dest: ChannelRt, sentToWorker: Int, ps: Int, pc: Int,
+  private def sliceArrive(dest: ChannelRt, sentToWorker: Int, ps: Int, pc: Int,
                           seq: Int, rows: Array[R], prodEpochAtSend: Int): Unit = {
     // data addressed to a worker that died or lost the channel is dropped
     if (dest.worker != sentToWorker || !live(dest.worker)) return
@@ -704,7 +723,7 @@ final class Engine(
     sim.at(t) {
       if (!finished && workers(w).alive(sim.now)) {
         workers(w).deadAt = sim.now
-        backups.foreach(_.filterInPlace(_._1 != w))
+        copies.foreach(_.filterInPlace(_.where != w))
         sim.after(cost.detectS) {
           if (!finished) {
             barrier = true
@@ -759,6 +778,9 @@ final class Engine(
 }
 
 object Engine {
+  /** The reliable store, as a copy's location and a push's source: no worker's id. */
+  private[core] final val Store = -1
+
   /** Consumer channel, of `c`, of a row whose partitioning key hashes to `h`. */
   private[core] def channelOf(h: Int, c: Int): Int = {
     val m = h % c

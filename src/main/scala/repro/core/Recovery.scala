@@ -1,6 +1,5 @@
 package repro.core
 
-import repro.core.Rows.R
 import repro.ft.NoFt
 
 /** The coordinator's failure-recovery routine — Algorithm 2 of the paper,
@@ -12,12 +11,12 @@ import repro.ft.NoFt
   *  - the required input partitions are the committed prefixes of every
   *    upstream channel of a rewound stage, processed in reverse topological
   *    order:
-  *    partitions whose producer-local backup survives are *replayed* by
-  *    their owner (disk read + network push), lost input-stage partitions
-  *    are *re-read* on arbitrary live workers (input tasks are stateless,
-  *    so this part is data-parallel, as in Spark), and partitions lost
-  *    together with their stateful producer are regenerated by that
-  *    producer's own replay;
+  *    a partition with a surviving copy is *re-pushed* from it (a backup
+  *    is read from its owner's disk and pushed from there, a spooled copy
+  *    is pushed from the store), lost input-stage partitions are *re-read*
+  *    on arbitrary live workers (input tasks are stateless, so this part is
+  *    data-parallel, as in Spark), and partitions lost together with their
+  *    stateful producer are regenerated by that producer's own replay;
   *  - rewound stateful channels then re-execute their logged task sequence
   *    exactly (no dynamic input choice), restoring their pre-failure state
   *    and outputs, verified by output-hash comparison.
@@ -80,17 +79,14 @@ object Recovery {
     // ---- required input partitions: the committed prefix of every upstream
     // channel of a rewound stage. It holds everything the rewound channels'
     // lineage consumed, and the committed outputs they had not consumed yet
-    // (their arrived copies died with the worker's mailbox). Replay, re-read
+    // (their arrived copies died with the worker's mailbox). Re-push, re-read
     // or rewind each, in reverse topological (stage, channel, seq) order.
     val ups = rewound.flatMap(ch => e.plan.stages(ch.stage).upstreams).distinct.sorted.reverse
     for (us <- ups; uc <- 0 until e.C; s <- 0 until e.gcs.committedCount(e.gcs.index(us, uc))) {
       val i = e.gcs.index(us, uc)
       e.metrics.recoveredPartitions += 1
-      if (e.cfg.ft.spooling && e.spool(i).contains(s)) {
-        scheduleSpoolFetch(e, us, uc, s)
-      } else Option(e.backups(i)(s)) match {
-        case Some((owner, slices, bytes)) =>
-          scheduleRePush(e, owner, us, uc, s, slices, bytes)
+      Option(e.copies(i)(s)) match {
+        case Some(c) => scheduleRePush(e, us, uc, s, c)
         case None =>
           e.plan.stages(us).op match {
             case _: InputOp => scheduleReRead(e, us, uc, s, nextWorker())
@@ -107,40 +103,22 @@ object Recovery {
     resolveHeld(e)
   }
 
-  /** Replay a backed-up partition from its owner: disk read, then push the
-    * slices that some consumer still needs.
+  /** Re-deliver partition (us, uc, s) from its copy, sending the slices
+    * that some consumer still needs: a backup is read from its owner's disk
+    * and pushed from the owner, a spooled copy is pushed from the store.
     */
-  private def scheduleRePush(e: Engine, owner: Int, us: Int, uc: Int, s: Int,
-                             slices: Array[Array[R]], bytes: Long): Unit = {
+  private def scheduleRePush(e: Engine, us: Int, uc: Int, s: Int, c: Copy): Unit = {
     e.metrics.repushJobs += 1
-    val dEnd = e.workers(owner).disk.use(e.sim.now, e.cfg.cost.diskS(bytes))
-    e.push(owner, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
-  }
-
-  /** Fetch a spooled partition from the reliable store directly to each
-    * consumer that needs it (Trino-style recovery from spooled shuffles).
-    */
-  private def scheduleSpoolFetch(e: Engine, us: Int, uc: Int, s: Int): Unit = {
-    import e.cfg.cost
-    val (slices, _) = e.spool(e.gcs.index(us, uc))(s)
-    for (d <- slices.indices) {
-      val rows = slices(d)
-      val dest = e.consumerChs(us)(d)
-      if (e.needsSlice(dest, e.slot(us, uc), s)) {
-        val sbytes = rows.length.toLong * e.plan.stages(us).schema.rowBytes
-        val w = e.workers(dest.worker)
-        val end = w.storeLink.use(e.sim.now, cost.storeS(sbytes, 1))
-        val sentTo = dest.worker
-        e.sim.at(end)(e.sliceArrive(dest, sentTo, us, uc, s, rows, e.channels(us)(uc).epoch))
-      }
-    }
+    val start =
+      if (c.where == Engine.Store) e.sim.now
+      else e.workers(c.where).disk.use(e.sim.now, e.cfg.cost.diskS(c.bytes))
+    e.push(c.where, start, us, uc, s, c.slices, e.channels(us)(uc).epoch)
   }
 
   /** Re-execute a lost input read on an arbitrary live worker (input tasks
     * are stateless, so these recover data-parallel across the cluster).
     */
   private def scheduleReRead(e: Engine, us: Int, uc: Int, s: Int, worker: Int): Unit = {
-    import e.cfg.cost
     val i = e.gcs.index(us, uc)
     e.metrics.rereadJobs += 1
     val stage = e.plan.stages(us)
@@ -152,14 +130,10 @@ object Recovery {
     e.checkOutput(us, uc, s, out, "re-read")
     val slices = e.sliceUp(stage, out)
     val bytes = out.length.toLong * stage.schema.rowBytes
-    val w = e.workers(worker)
-    val cpuEnd = w.cpu.use(e.sim.now, cpu)
+    val cpuEnd = e.workers(worker).cpu.use(e.sim.now, cpu)
     e.sim.at(cpuEnd) {
       if (e.workers(worker).alive(e.sim.now)) {
-        val dEnd = if (e.cfg.ft.upstreamBackup) {
-          e.backups(i)(s) = (worker, slices, bytes)
-          w.disk.use(e.sim.now, cost.diskS(bytes))
-        } else e.sim.now
+        val dEnd = e.persist(worker, i, s, slices, bytes)
         e.push(worker, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
       }
     }

@@ -33,10 +33,12 @@ case object Wal extends Ft {
   val upstreamBackup = true
 }
 
-/** Spooling: every shuffle partition is durably written to the reliable
-  * store (S3/HDFS). On failure, channels on the dead worker restart from
+/** Spooling: every task's output is put to the reliable store (S3/HDFS),
+  * one object per consumer channel, and kept as a store copy that no
+  * failure drops. On failure, channels on the dead worker restart from
   * their initial state (state variables were not persisted — paper Fig 2)
-  * and re-consume spooled partitions.
+  * and re-consume their input partitions, each pushed from the store over
+  * its consumer's own store link; nothing is re-read.
   */
 case object Spool extends Ft {
   val spooling = true; val stateCheckpoint = false; val lineage = true

@@ -62,7 +62,7 @@ class JoinStagesSpec extends SparkSpec {
     } yield {
       var (n, h) = (0, 17L)
       for (c <- 0 until e.C; i = e.gcs.index(st.id, c); s <- 0 until e.gcs.committedCount(i);
-           slice <- e.backups(i)(s)._2) {
+           slice <- e.copies(i)(s).slices) {
         h = h * 31 + slice.length
         slice.foreach { r =>
           n += 1

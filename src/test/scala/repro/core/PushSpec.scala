@@ -67,6 +67,25 @@ class PushSpec extends AnyFunSuite {
     assert(e.channels(1)(0).mailbox(e.slot(0, 2)).contains(0) && e.channels(1)(1).mailbox(e.slot(0, 2)).contains(0))
   }
 
+  test("a push from the store crosses each needing consumer's own store link") {
+    val e = engine(3)
+    val three = slices :+ Array[R](Array[Any](2L, 3L))
+    val p = e.slot(0, 0)
+    e.channels(1)(1).consumed(p) = 1 // channel 1 already consumed its slice
+    val nets = e.workers.map(_.net.freeAt)
+    val end = 2.0 + e.cfg.cost.storeS(sch.rowBytes, 1)
+    assert(e.push(Engine.Store, 2.0, 0, 0, 0, three, epoch = 0) == end)
+    assert(e.workers.map(_.storeLink.freeAt) == Vector(end, 0.0, end))
+    assert(e.workers.map(_.net.freeAt) == nets)
+    assert(e.metrics.shuffleBytes == 2 * sch.rowBytes)
+    // an arrival on the 1e-6 local path would land before this check
+    var early = true
+    e.sim.at(end - 1e-9) { early = e.channels(1).exists(_.mailbox(p).contains(0)) }
+    e.sim.run()
+    assert(!early && e.sim.now == end)
+    assert(e.channels(1).map(_.mailbox(p).contains(0)) == Vector(true, false, true))
+  }
+
   test("a final flush reaches the collector over the sender's NIC") {
     val e = engine(2)
     val net = e.workers(1).net.freeAt

@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.{SparkSpec, TestUtil}
 import repro.baselines.{EngineRunner, Systems}
+import repro.ft.Spool
 import repro.queries.{TpchData, TpchLite}
 
 /** Property: for any kill time and any victim, the recovered result equals
@@ -64,17 +65,20 @@ class RecoveryPropSpec extends SparkSpec {
     }, 5)
   }
 
-  test("16 workers: one or two kills of random victims, the second possibly during detection or planning (q3, q9)") {
-    val cfg16 = Systems.quokka(16)
-    import cfg16.cost.{detectS, planS}
+  /** For each of q3 and q9 under `sys`, 6 draws of one or two kills of
+    * random victims; the second kill, if any, lands during the first one's
+    * detection, during its planning, or later.
+    */
+  private def randomKills(sys: EngineConfig): Unit = {
+    import sys.cost.{detectS, planS}
+    val w = sys.workers
     for (q <- Vector(TpchLite.q3, TpchLite.q9)) {
-      val ref = EngineRunner.run(cfg16, q, t)
+      val ref = EngineRunner.run(sys, q, t)
       val refCanon = TestUtil.canon(ref.rows)
       val gen = for {
-        v1 <- Gen.choose(0, 15)
+        v1 <- Gen.choose(0, w - 1)
         f1 <- Gen.choose(0.05, 0.9)
-        v2 <- Gen.choose(1, 15).map(d => (v1 + d) % 16)
-        // the second kill: none, during detection, during planning, or later
+        v2 <- Gen.choose(1, w - 1).map(d => (v1 + d) % w)
         second <- Gen.oneOf(
           Gen.const(Option.empty[Double]),
           Gen.choose(0.0, detectS).map(Some(_)),
@@ -85,9 +89,17 @@ class RecoveryPropSpec extends SparkSpec {
         (v1, t1) +: second.toSeq.map(d => (v2, t1 + d))
       }
       check(Prop.forAll(gen) { kills =>
-        val rr = EngineRunner.run(cfg16, q, t, failures = kills)
+        val rr = EngineRunner.run(sys, q, t, failures = kills)
         TestUtil.canon(rr.rows) == refCanon
       }, 6)
     }
+  }
+
+  test("16 workers: one or two kills of random victims, the second possibly during detection or planning (q3, q9)") {
+    randomKills(Systems.quokka(16))
+  }
+
+  test("spooling, 3 workers: one or two kills of random victims, the second possibly during detection or planning (q3, q9)") {
+    randomKills(cfg.copy(ft = Spool))
   }
 }

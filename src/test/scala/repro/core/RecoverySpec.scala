@@ -36,6 +36,14 @@ class RecoverySpec extends SparkSpec {
       val rr = EngineRunner.run(cfg, q, t, failures = Seq((1, killAt)))
       assert(TestUtil.canon(rr.rows) == TestUtil.canon(ref.rows), s"${q.id}/$sys wrong result")
       assert(rr.simSeconds >= killAt, "finished before the failure it survived?")
+      if (cfg.ft == Spool) {
+        // every lost partition is re-pushed from its store copy
+        val m = rr.metrics
+        assert(m.recoveredPartitions > 0 && m.repushJobs == m.recoveredPartitions &&
+          m.rereadJobs == 0 && m.backupBytes == 0,
+          s"repush ${m.repushJobs}, recovered ${m.recoveredPartitions}, reread ${m.rereadJobs}, " +
+            s"backup ${m.backupBytes}")
+      }
     }
   }
 
