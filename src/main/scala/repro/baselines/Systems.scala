@@ -7,9 +7,10 @@ import repro.queries.{Q, Tables}
 
 /** Named engine configurations — the "systems" compared in the evaluation.
   *
-  * Calibration knobs (kernelFactor, stageOverheadS, bandwidths in
-  * [[CostParams]]) are set once here so the paper's shapes hold; see
-  * DESIGN.md §5 for the shapes and the `jobs/` mains for measured values.
+  * Quokka is [[EngineConfig]]'s defaults on its cluster's [[CostParams]];
+  * the other systems set only what differs (kernelFactor, stageOverheadS,
+  * lineage, FT). See DESIGN.md §5 for the shapes and the `jobs/` mains for
+  * measured values.
   */
 object Systems {
 
@@ -23,12 +24,10 @@ object Systems {
   }
 
   /** Quokka: dynamic pipelined execution + write-ahead lineage. The
-    * dynamic strategy accumulates a few outputs per task (maximize-batch,
-    * paper §IV-A).
+    * dynamic strategy accumulates at least `Dynamic.MinRun` outputs per
+    * task (maximize-batch, paper §IV-A).
     */
-  def quokka(workers: Int): EngineConfig =
-    EngineConfig(workers, Pipelined, Dynamic, Wal, costFor(workers),
-      inputBatchRows = 2048, dynamicMinRun = 4)
+  def quokka(workers: Int): EngineConfig = EngineConfig(workers, cost = costFor(workers))
 
   /** Quokka with fault tolerance off — the overhead denominator of Fig 9. */
   def quokkaNoFt(workers: Int): EngineConfig = quokka(workers).copy(ft = NoFt)
@@ -54,14 +53,14 @@ object Systems {
   def sparkLike(workers: Int): EngineConfig = EngineConfig(
     workers, Stagewise, Dynamic, Wal, costFor(workers),
     kernelFactor = 1.8, stageOverheadS = 0.6, staticLineage = true,
-    channelsPerWorker = 2, inputBatchRows = 2048)
+    channelsPerWorker = 2)
 
   /** Trino-like baseline: pipelined execution with static task dependencies
     * and spooling-based fault tolerance (HDFS/S3 shuffle persistence).
     */
   def trinoLike(workers: Int): EngineConfig = EngineConfig(
     workers, Pipelined, StaticBatch(16), Spool, costFor(workers),
-    kernelFactor = 0.85, staticLineage = true, inputBatchRows = 2048)
+    kernelFactor = 0.85, staticLineage = true)
 
   /** Trino with fault tolerance disabled (Fig 9's spooling-overhead base). */
   def trinoNoFt(workers: Int): EngineConfig = trinoLike(workers).copy(ft = NoFt)

@@ -20,14 +20,13 @@ object Experiments {
 
   def load(spark: SparkSession): Tables = TpchData.load(spark, benchSf)
 
-  // clean-run time cache shared by all experiments in a JVM
-  private val cache = mutable.Map.empty[(String, String, Int), RunResult]
+  // clean-run cache shared by all experiments in a JVM, by (config, query id)
+  private val cache = mutable.Map.empty[(EngineConfig, String), RunResult]
 
-  def run(name: String, cfg: EngineConfig, q: Q, t: Tables): RunResult =
-    cache.getOrElseUpdate((name, q.id, cfg.workers), EngineRunner.run(cfg, q, t))
+  def run(cfg: EngineConfig, q: Q, t: Tables): RunResult =
+    cache.getOrElseUpdate((cfg, q.id), EngineRunner.run(cfg, q, t))
 
-  def time(name: String, cfg: EngineConfig, q: Q, t: Tables): Double =
-    run(name, cfg, q, t).simSeconds
+  def time(cfg: EngineConfig, q: Q, t: Tables): Double = run(cfg, q, t).simSeconds
 
   def geomean(xs: Seq[Double]): Double = {
     require(xs.nonEmpty)
@@ -47,9 +46,9 @@ object Experiments {
   def normalExec(t: Tables, workers: Int): Vector[NormalRow] =
     TpchLite.all.map { q =>
       NormalRow(q,
-        time("quokka", Systems.quokka(workers), q, t),
-        time("spark", Systems.sparkLike(workers), q, t),
-        time("trino", Systems.trinoLike(workers), q, t))
+        time(Systems.quokka(workers), q, t),
+        time(Systems.sparkLike(workers), q, t),
+        time(Systems.trinoLike(workers), q, t))
     }
 
   // ----------------------------------------------------------------- Fig 7
@@ -61,8 +60,8 @@ object Experiments {
   def pipelinedVsStagewise(t: Tables, workers: Int): Vector[PipeRow] =
     TpchLite.representative.map { q =>
       PipeRow(q,
-        time("quokka", Systems.quokka(workers), q, t),
-        time("quokka-stagewise", Systems.quokkaStagewise(workers), q, t))
+        time(Systems.quokka(workers), q, t),
+        time(Systems.quokkaStagewise(workers), q, t))
     }
 
   // ----------------------------------------------------------------- Fig 8
@@ -72,9 +71,9 @@ object Experiments {
   def dynamicVsStatic(t: Tables, workers: Int): Vector[StaticRow] =
     TpchLite.representative.map { q =>
       StaticRow(q,
-        time("quokka", Systems.quokka(workers), q, t),
-        time("static8", Systems.quokkaStatic(workers, 8), q, t),
-        time("static128", Systems.quokkaStatic(workers, 128), q, t))
+        time(Systems.quokka(workers), q, t),
+        time(Systems.quokkaStatic(workers, 8), q, t),
+        time(Systems.quokkaStatic(workers, 128), q, t))
     }
 
   // ----------------------------------------------------------------- Fig 9
@@ -85,14 +84,14 @@ object Experiments {
   /** FT overhead = runtime with the strategy / runtime with FT off. */
   def ftOverhead(t: Tables, workers: Int): Vector[OverheadRow] =
     TpchLite.representative.map { q =>
-      val quokkaNoFt = time("quokka-noft", Systems.quokkaNoFt(workers), q, t)
-      val trinoNoFt = time("trino-noft", Systems.trinoNoFt(workers), q, t)
+      val quokkaNoFt = time(Systems.quokkaNoFt(workers), q, t)
+      val trinoNoFt = time(Systems.trinoNoFt(workers), q, t)
       OverheadRow(q,
-        trinoSpool = time("trino", Systems.trinoLike(workers), q, t) / trinoNoFt,
-        quokkaSpool = time("quokka-spool", Systems.quokkaSpool(workers), q, t) / quokkaNoFt,
-        wal = time("quokka", Systems.quokka(workers), q, t) / quokkaNoFt,
-        ckptIncr = time("quokka-ckpt",
-          Systems.quokkaCkpt(workers, intervalS = 2.5, incremental = true), q, t) / quokkaNoFt)
+        trinoSpool = time(Systems.trinoLike(workers), q, t) / trinoNoFt,
+        quokkaSpool = time(Systems.quokkaSpool(workers), q, t) / quokkaNoFt,
+        wal = time(Systems.quokka(workers), q, t) / quokkaNoFt,
+        ckptIncr = time(Systems.quokkaCkpt(workers, intervalS = 2.5, incremental = true), q, t) /
+          quokkaNoFt)
     }
 
   /** §III-A / §IV-B supplementary: lineage vs intermediate data volume. */
@@ -101,7 +100,7 @@ object Experiments {
 
   def lineageFootprint(t: Tables, workers: Int): Vector[LineageRow] =
     TpchLite.representative.map { q =>
-      val rr = run("quokka", Systems.quokka(workers), q, t)
+      val rr = run(Systems.quokka(workers), q, t)
       LineageRow(q, rr.gcsLineageBytes / 1024.0,
         rr.metrics.shuffleBytes * Systems.costFor(workers).volumeScale / 1e6,
         rr.metrics.backupBytes * Systems.costFor(workers).volumeScale / 1e6,
@@ -129,8 +128,8 @@ object Experiments {
   def recoveryOne(t: Tables, workers: Int, q: Q, frac: Double): RecoveryRow = {
     val qCfg = Systems.quokka(workers)
     val sCfg = Systems.sparkLike(workers)
-    val qClean = time("quokka", qCfg, q, t)
-    val sClean = time("spark", sCfg, q, t)
+    val qClean = time(qCfg, q, t)
+    val sClean = time(sCfg, q, t)
     val victim = 1 % workers
     val qFail = EngineRunner.run(qCfg, q, t, failures = Seq((victim, qClean * frac))).simSeconds
     val sFail = EngineRunner.run(sCfg, q, t, failures = Seq((victim, sClean * frac))).simSeconds

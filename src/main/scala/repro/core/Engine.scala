@@ -17,10 +17,15 @@ case object Stagewise extends ExecMode
   * (the Fig 8 static-lineage strategies).
   */
 sealed trait Batching
-case object Dynamic extends Batching
+case object Dynamic extends Batching {
+  /** Fewest outputs of a not-done upstream channel that one task consumes. */
+  final val MinRun = 4
+}
 final case class StaticBatch(k: Int) extends Batching { require(k > 0) }
 
-/** One engine run's configuration ("system"). */
+/** One engine run's configuration ("system"). Its defaults are the
+  * evaluated Quokka on the 4-worker cluster (`Systems.quokka(4)`).
+  */
 final case class EngineConfig(
   workers: Int,
   mode: ExecMode = Pipelined,
@@ -32,18 +37,13 @@ final case class EngineConfig(
     */
   kernelFactor: Double = 1.0,
   channelsPerWorker: Int = 1,
-  inputBatchRows: Int = 4096,
+  inputBatchRows: Int = 2048,
   /** Per-stage scheduling barrier cost in stagewise mode (DAGScheduler). */
   stageOverheadS: Double = 0.0,
   /** Lineage determined before execution (Spark/Trino/Fig 8 static
     * strategies): no per-task GCS write-ahead cost is charged.
     */
   staticLineage: Boolean = false,
-  /** Dynamic batching accumulates at least this many upstream outputs
-    * before launching a consume task (the paper's maximize-batch intent);
-    * the remainder is taken once the upstream channel is done.
-    */
-  dynamicMinRun: Int = 1,
   seed: Long = 7,
 ) {
   require(workers >= 1)
@@ -325,9 +325,9 @@ final class Engine(
   }
 
   /** Pick (upstream channel, count) per the batching policy. Dynamic takes
-    * the longest available run (the paper's maximize-batch strategy);
-    * StaticBatch(k) takes exactly k, or the remainder once the upstream
-    * channel is done.
+    * the longest available run of at least `Dynamic.MinRun`, or a done
+    * upstream's remainder (maximize-batch, paper §IV-A); StaticBatch(k)
+    * takes exactly k, or the remainder once the upstream channel is done.
     */
   private def pickConsume(ch: ChannelRt): Option[ConsumeRec] = {
     val ups = upIdx(ch.stage)
@@ -338,7 +338,7 @@ final class Engine(
         var p = 0
         while (p < ups.length) {
           val len = availRun(ch, p)
-          val qualifies = len >= cfg.dynamicMinRun || (len > 0 && gcs.channelDone(ups(p)))
+          val qualifies = len >= Dynamic.MinRun || (len > 0 && gcs.channelDone(ups(p)))
           if (qualifies && len > bestLen) { best = p; bestLen = len }
           p += 1
         }
@@ -374,10 +374,7 @@ final class Engine(
     */
   private[core] def runInput(stage: Stage, batch: Array[R]): (Array[R], Double) = {
     val out = stage.op.asInstanceOf[InputOp].fuse(batch)
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(batch.length, cost.scanNsPerRow, cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    (out, cpu)
+    (out, cost.taskS(batch.length, cost.scanNsPerRow, out.length, cfg.kernelFactor))
   }
 
   /** Symmetric hash join step: insert each row into its side's table, then
@@ -439,20 +436,15 @@ final class Engine(
       case op: AggOp  => runAggKernel(ch, op, rows); (Array.empty[R], cost.aggNsPerRow)
       case _ => throw new IllegalStateException("input stage in consume path")
     }
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(rows.length, nsPerRow, cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, rec, out, cpu)
+    finishTask(ch, rec, out, cost.taskS(rows.length, nsPerRow, out.length, cfg.kernelFactor))
   }
 
   /** Flush task body, shared by first execution and replay. */
   private def runFlush(ch: ChannelRt): Unit = {
     val out = runFlushKernel(ch, stageOf(ch.stage).op.asInstanceOf[AggOp])
     ch.flushed = true
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(ch.agg.rows, cost.aggNsPerRow, cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, FlushRec, out, cpu)
+    finishTask(ch, FlushRec, out,
+      cost.taskS(ch.agg.rows, cost.aggNsPerRow, out.length, cfg.kernelFactor))
   }
 
   /** Common task tail: charge CPU, then at CPU completion partition the
@@ -656,7 +648,8 @@ final class Engine(
     if (gcs.channelDone(ch.idx)) return
     val stage = stageOf(ch.stage)
     stage.op match {
-      case _: InputOp => // done is marked by the last commit
+      case _: InputOp => // done is marked by the last read's commit, or here if there is no batch
+        if (ch.ch >= inputBatches(ch.stage).size && gcs.markDone(ch.idx)) onChannelDone(ch)
       case _: JoinOp =>
         val complete = !ch.busy && gcs.committedCount(ch.idx) == ch.seq && upstreamsDrained(ch)
         if (complete && gcs.markDone(ch.idx)) onChannelDone(ch)
@@ -753,13 +746,6 @@ final class Engine(
   def run(): RunResult = {
     injectFailures()
     scheduleCkptTicks()
-    // input channels with no batch (channel >= batch count) are done from the start
-    sim.at(0.0) {
-      for {
-        st <- channels; ch <- st
-        if !stageOf(ch.stage).stateful && ch.ch >= inputBatches(ch.stage).size
-      } if (gcs.markDone(ch.idx)) onChannelDone(ch)
-    }
     sim.at(0.0)(pokeAll())
     sim.run()
     if (!finished) {
