@@ -199,7 +199,7 @@ final class Engine(
     plan.stages.map(s => (for (u <- s.upstreams; c <- 0 until C) yield gcs.index(u, c)).toArray)
   /** Index of each stage among its consumer's upstreams (0 for the final stage). */
   private val upPos: Array[Int] = plan.stages.map { s =>
-    plan.consumers(s.id).headOption.fold(0)(stageOf(_).upstreams.indexOf(s.id))
+    plan.consumer(s.id).fold(0)(stageOf(_).upstreams.indexOf(s.id))
   }.toArray
 
   private[core] val channels: Vector[Vector[ChannelRt]] =
@@ -223,7 +223,7 @@ final class Engine(
   collector.worker = headNode
   /** Consumer channels of each stage: its consumer stage's, or the collector. */
   private[core] val consumerChs: Vector[Vector[ChannelRt]] =
-    plan.stages.map(s => plan.consumers(s.id).headOption.fold(Vector(collector))(channels(_)))
+    plan.stages.map(s => plan.consumer(s.id).fold(Vector(collector))(channels(_)))
 
   /** Global, replayable input batches by stage id ("files on S3"; empty
     * for stateful stages). Input channel c's task seq reads batch
@@ -382,7 +382,7 @@ final class Engine(
     * order. Output multiset is independent of interleaving.
     */
   private def runJoinKernel(ch: ChannelRt, op: JoinOp, uStage: Int, rows: Array[R]): Array[R] = {
-    val fromLeft = uStage == op.leftUp
+    val fromLeft = uStage == stageOf(ch.stage).upstreams(0)
     val (key, own, other) =
       if (fromLeft) (op.lKey, ch.join.left, ch.join.right) else (op.rKey, ch.join.right, ch.join.left)
     val out = mutable.ArrayBuffer.empty[R]
@@ -659,11 +659,11 @@ final class Engine(
 
   private def stageDone(s: Int): Boolean = (0 until C).forall(c => gcs.channelDone(gcs.index(s, c)))
 
-  /** Wake the consumers; stagewise mode releases a consumer stage once
-    * every channel of its upstreams is done.
+  /** Wake the stage's consumer; stagewise mode releases the consumer stage
+    * once every channel of its upstreams is done.
     */
   private def onChannelDone(ch: ChannelRt): Unit = {
-    for (cs <- plan.consumers(ch.stage)) {
+    for (cs <- plan.consumer(ch.stage)) {
       if (!stageReady(cs) && stageOf(cs).upstreams.forall(stageDone))
         sim.after(cfg.stageOverheadS) { stageReady(cs) = true; channels(cs).foreach(poke) }
       channels(cs).foreach(poke)

@@ -28,16 +28,13 @@ final case class InputOp(table: String, fuse: Array[R] => Array[R]) extends Stag
   * exactly the state the paper argues makes checkpointing O(N^2).
   * Each side's key is one or two `CLong` columns ([[JoinKey]]). `emit`
   * builds an output row from a (left, right) pair, or returns null to drop
-  * it (join-level residual predicates). [[PlanBuilder.joinOn]] builds the
-  * emit of a join that selects columns; TpchLite writes the emit by hand
-  * where it filters on a residual predicate (Q5, Q7) or computes a value
-  * from both sides (Q9's `amount`, Q14's `promoRev`, Q19's filtered `rev`).
+  * it (join-level residual predicates); the left side is the stage's first
+  * upstream. [[PlanBuilder.joinOn]] builds the emit of a join that selects
+  * columns; TpchLite writes the emit by hand where it filters on a residual
+  * predicate (Q5, Q7) or computes a value from both sides (Q9's `amount`,
+  * Q14's `promoRev`, Q19's filtered `rev`).
   */
-final case class JoinOp(
-  leftUp: Int, rightUp: Int,
-  lKey: JoinKey, rKey: JoinKey,
-  emit: (R, R) => R,
-) extends StageOp
+final case class JoinOp(lKey: JoinKey, rKey: JoinKey, emit: (R, R) => R) extends StageOp
 
 /** A join side's key: the `CLong` column `a`, or the pair of columns
   * (`a`, `b`); `b` is -1 for a one-column key. The join table keys a row
@@ -124,11 +121,11 @@ final case class Plan(stages: Vector[Stage], name: String) {
   val last: Int = stages.last.id
   def resultSchema: Sch = stages.last.schema
 
-  /** Direct consumers of each stage (at most one in our tree-shaped plans). */
-  val consumers: Vector[Vector[Int]] = {
-    val m = Array.fill(stages.size)(Vector.empty[Int])
-    stages.foreach(s => s.upstreams.foreach(u => m(u) :+= s.id))
-    m.toVector
+  /** Each stage's one consumer, the stage that lists it upstream (none for the final stage). */
+  val consumer: Vector[Option[Int]] = stages.map { s =>
+    val cs = stages.filter(_.upstreams.contains(s.id))
+    require(cs.size <= 1, s"stage ${s.id} feeds ${cs.size} consumers in plan $name")
+    cs.headOption.map(_.id)
   }
 }
 
@@ -232,7 +229,7 @@ final class PlanBuilder(val name: String) {
     val rKey = JoinKey.of(buf(right).schema, on._2, name)
     buf(left).outHash = lKey.hash
     buf(right).outHash = rKey.hash
-    buf += Pending(JoinOp(left, right, lKey, rKey, emit), Vector(left, right), schema, null)
+    buf += Pending(JoinOp(lKey, rKey, emit), Vector(left, right), schema, null)
     buf.size - 1
   }
 

@@ -19,7 +19,7 @@ class PlanSpec extends AnyFunSuite {
     val p = b.build()
     assert(p.stages.size == 4)
     assert(p.stages(0).outHash != null && p.stages(1).outHash != null)
-    assert(p.consumers(0) == Vector(2) && p.consumers(2) == Vector(3))
+    assert(p.consumer(0).contains(2) && p.consumer(2).contains(3) && p.consumer(3).isEmpty)
     assert(p.last == 3)
     assert(!p.stages(0).stateful && p.stages(2).stateful)
   }
@@ -32,6 +32,21 @@ class PlanSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException] {
       b.join(s0, s1, Seq("k") -> Seq("k"), sch)((l, _) => l)
     }
+  }
+
+  test("a hand-built plan whose stage feeds two consumers is rejected") {
+    val key = JoinKey(0, -1)
+    val join = JoinOp(key, key, (l, _) => l)
+    val agg = AggOp(r => Vector(r(0)), 1, (a, r) => a(0) += Rows.lng(r, 1),
+      (k, a) => Array[Any](k(0), a(0)))
+    def input(id: Int) = Stage(id, InputOp("a", identity[Array[R]]), Vector.empty, sch, key.hash)
+    val stages = Vector(input(0), input(1), Stage(2, join, Vector(0, 1), sch, key.hash))
+    Plan(stages :+ Stage(3, agg, Vector(2), sch, null), "ok")
+    val e = intercept[IllegalArgumentException] {
+      val second = Stage(3, join, Vector(0, 2), sch, key.hash)
+      Plan(stages ++ Vector(second, Stage(4, agg, Vector(3), sch, null)), "bad")
+    }
+    assert(e.getMessage.contains("stage 0 feeds 2 consumers"))
   }
 
   test("plans must end in an aggregation") {
