@@ -12,7 +12,7 @@ import repro.queries.{Tables, TpchData, TpchLite}
   * `spark-submit --class repro.jobs.Fig6 repro.jar` or `sbt "runMain repro.jobs.Fig6"`.
   */
 object JobSession {
-  def spark(): SparkSession = SparkSession.builder
+  def spark(): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName("repro-jobs")
     .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -32,7 +32,7 @@ abstract class FigureJob(val figures: Tables => Seq[Figure]) {
     JobSession.withTables((_, t) => figures(t).foreach(f => println(f.text)))
 }
 
-/** Table I: the design-choice matrix, derived from the FT strategy flags. */
+/** Table I: the design-choice matrix (`Ft.tableOne`). */
 object TableOne { def main(args: Array[String]): Unit = println(Experiments.tableOneText) }
 
 /** Fig 6: Quokka vs SparkSQL vs Trino(FT), normal execution, 4w & 16w. */

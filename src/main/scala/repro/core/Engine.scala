@@ -226,8 +226,7 @@ final class Engine(
     plan.stages.map(s => plan.consumer(s.id).fold(Vector(collector))(channels(_)))
 
   /** Global, replayable input batches by stage id ("files on S3"; empty
-    * for stateful stages). Input channel c's task seq reads batch
-    * seq * C + c.
+    * for stateful stages), read as [[batchOf]] names.
     */
   private[core] val inputBatches: Vector[Vector[Array[R]]] = plan.stages.map {
     case Stage(_, InputOp(table, _), _, _, _) =>
@@ -257,6 +256,9 @@ final class Engine(
   // ---------------------------------------------------------------- helpers
 
   private def stageOf(id: Int): Stage = plan.stages(id)
+
+  /** The batch that input task (c, seq) reads: seq * C + c of its stage's table. */
+  private[core] def batchOf(c: Int, seq: Int): Int = seq * C + c
 
   /** Launch what `ch` can run and check whether it is done; the collector
     * runs no tasks.
@@ -294,10 +296,10 @@ final class Engine(
     }
     if (!stageReady(ch.stage)) return
     if (!stageOf(ch.stage).stateful) {
-      val b = ch.seq * C + ch.ch
+      val b = batchOf(ch.ch, ch.seq)
       if (b < inputBatches(ch.stage).size) {
         val (out, cpu) = runInput(stageOf(ch.stage), inputBatches(ch.stage)(b))
-        finishTask(ch, ReadRec(b), out, cpu)
+        finishTask(ch, ReadRec, out, cpu)
       }
     } else if (pollGateOpen(ch)) pickConsume(ch) match {
       case Some(rec) =>
@@ -324,14 +326,14 @@ final class Engine(
     }
   }
 
-  /** Pick (upstream channel, count) per the batching policy. Dynamic takes
+  /** Pick (upstream position, count) per the batching policy. Dynamic takes
     * the longest available run of at least `Dynamic.MinRun`, or a done
     * upstream's remainder (maximize-batch, paper §IV-A); StaticBatch(k)
     * takes exactly k, or the remainder once the upstream channel is done.
     */
   private def pickConsume(ch: ChannelRt): Option[ConsumeRec] = {
     val ups = upIdx(ch.stage)
-    val pick: Option[(Int, Int)] = cfg.batching match {
+    cfg.batching match {
       case Dynamic =>
         var best = 0
         var bestLen = 0
@@ -342,19 +344,16 @@ final class Engine(
           if (qualifies && len > bestLen) { best = p; bestLen = len }
           p += 1
         }
-        if (bestLen > 0) Some((best, bestLen)) else None
+        if (bestLen > 0) Some(ConsumeRec(best, bestLen)) else None
       case StaticBatch(k) =>
         ups.indices.collectFirst {
-          case p if availRun(ch, p) >= k => (p, k)
+          case p if availRun(ch, p) >= k => ConsumeRec(p, k)
         }.orElse(ups.indices.collectFirst {
           case p if gcs.channelDone(ups(p)) && {
             val rem = gcs.committedCount(ups(p)) - ch.consumed(p)
             rem > 0 && availRun(ch, p) >= rem
-          } => (p, gcs.committedCount(ups(p)) - ch.consumed(p))
+          } => ConsumeRec(p, gcs.committedCount(ups(p)) - ch.consumed(p))
         })
-    }
-    pick.map { case (p, k) =>
-      ConsumeRec(stageOf(ch.stage).upstreams(p / C), p % C, ch.consumed(p), k)
     }
   }
 
@@ -381,10 +380,9 @@ final class Engine(
     * emit its pairs with the other side's rows of its key, in their arrival
     * order. Output multiset is independent of interleaving.
     */
-  private def runJoinKernel(ch: ChannelRt, op: JoinOp, uStage: Int, rows: Array[R]): Array[R] = {
-    val fromLeft = uStage == stageOf(ch.stage).upstreams(0)
+  private def runJoinKernel(ch: ChannelRt, op: JoinOp, left: Boolean, rows: Array[R]): Array[R] = {
     val (key, own, other) =
-      if (fromLeft) (op.lKey, ch.join.left, ch.join.right) else (op.rKey, ch.join.right, ch.join.left)
+      if (left) (op.lKey, ch.join.left, ch.join.right) else (op.rKey, ch.join.right, ch.join.left)
     val out = mutable.ArrayBuffer.empty[R]
     var i = 0
     while (i < rows.length) {
@@ -394,7 +392,7 @@ final class Engine(
       own.add(a, b, r)
       var j = other.first(a, b)
       while (j >= 0) {
-        val e = if (fromLeft) op.emit(r, other.row(j)) else op.emit(other.row(j), r)
+        val e = if (left) op.emit(r, other.row(j)) else op.emit(other.row(j), r)
         if (e != null) out += e
         j = other.next(j)
       }
@@ -419,20 +417,22 @@ final class Engine(
 
   // --------------------------------------------------------------- launches
 
-  /** Consume task body, shared by first execution and replay: take the
-    * slices `rec` names out of the mailbox and run the stage's kernel.
+  /** Consume task body, shared by first execution and replay: take the next
+    * `rec.k` slices of upstream position `rec.p` from the watermark on, and
+    * run the stage's kernel. A join's left side is positions 0 until C.
     */
   private def runConsume(ch: ChannelRt, rec: ConsumeRec): Unit = {
-    val p = slot(rec.uStage, rec.uCh)
+    val p = rec.p
+    val from = ch.consumed(p)
+    ch.consumed(p) = from + rec.k
     val rows = Array.tabulate(rec.k) { i =>
-      val slice = ch.mailbox(p).remove(rec.from + i)
-      require(slice != null, s"consuming unavailable slice ((${rec.uStage},${rec.uCh}),${rec.from + i}) " +
-        s"at (${ch.stage},${ch.ch})")
+      val slice = ch.mailbox(p).remove(from + i)
+      require(slice != null,
+        s"consuming unavailable slice ${from + i} in ${decoded(ch.stage, ch.ch, rec)}")
       slice
     }.flatten
-    ch.consumed(p) = rec.from + rec.k
     val (out, nsPerRow) = stageOf(ch.stage).op match {
-      case op: JoinOp => (runJoinKernel(ch, op, rec.uStage, rows), cost.joinNsPerRow)
+      case op: JoinOp => (runJoinKernel(ch, op, p < C, rows), cost.joinNsPerRow)
       case op: AggOp  => runAggKernel(ch, op, rows); (Array.empty[R], cost.aggNsPerRow)
       case _ => throw new IllegalStateException("input stage in consume path")
     }
@@ -488,7 +488,7 @@ final class Engine(
     val slices = if (stage.op.emits(rec)) sliceUp(stage, out) else Array.empty[Array[R]]
     val bytes = out.length.toLong * stage.schema.rowBytes
 
-    checkOutput(ch.stage, ch.ch, mySeq, out, "replay")
+    checkOutput(ch.stage, ch.ch, mySeq, rec, out, "replay")
     val persistEnd = persist(ch.worker, ch.idx, mySeq, slices, bytes)
 
     val replay = mySeq < gcs.committedCount(ch.idx)
@@ -517,30 +517,42 @@ final class Engine(
     * Tasks and re-reads both persist here. Returns when the write ends.
     */
   private[core] def persist(worker: Int, idx: Int, seq: Int, slices: Array[Array[R]],
-                            bytes: Long): Double =
-    if (cfg.ft.upstreamBackup) {
+                            bytes: Long): Double = cfg.ft match {
+    case Wal | _: Ckpt =>
       copies(idx)(seq) = Copy(worker, slices, bytes)
       metrics.backupBytes += bytes
       workers(worker).disk.use(sim.now, cost.diskS(bytes))
-    } else if (cfg.ft.spooling) {
+    case Spool =>
       copies(idx)(seq) = Copy(Engine.Store, slices, bytes)
       metrics.spoolBytes += bytes
       workers(worker).storeLink.use(sim.now, cost.storeS(bytes, consumerChs(idx / C).size))
-    } else sim.now
+    case NoFt => sim.now
+  }
 
-  /** Replay identity: a task run again (`rerun`: a replay or a re-read)
-    * must regenerate the output whose hash its first run recorded.
+  /** Replay identity: a task with lineage `rec` run again (`rerun`: a
+    * replay or a re-read) must regenerate the output whose hash its first
+    * run recorded. A consume task has taken its slices when this runs.
     */
-  private[core] def checkOutput(stage: Int, ch: Int, seq: Int, out: Array[R],
+  private[core] def checkOutput(stage: Int, ch: Int, seq: Int, rec: LineageRec, out: Array[R],
                                 rerun: String): Unit = {
     val hashes = outputHash(gcs.index(stage, ch))
     val h2 = Rows.multisetHash(out)
     hashes(seq) match {
       case null => hashes(seq) = h2
-      case h =>
-        if (h.longValue != h2) throw new IllegalStateException(
-          s"$rerun divergence at ($stage,$ch,$seq): $h vs $h2 — lineage replay is broken")
+      case h if h.longValue != h2 => throw new IllegalStateException(s"$rerun divergence at " +
+        s"seq $seq: ${decoded(stage, ch, rec)}: $h vs $h2 — lineage replay is broken")
+      case _ =>
     }
+  }
+
+  /** Lineage `rec` of a task of channel (stage, ch), for a message: a consume
+    * task that has taken its slices reads as (upstream stage, channel, first
+    * seq, count).
+    */
+  private def decoded(stage: Int, ch: Int, rec: LineageRec): String = rec match {
+    case ConsumeRec(p, k) => s"consume (${stageOf(stage).upstreams(p / C)},${p % C}," +
+      s"${channels(stage)(ch).consumed(p) - k},$k) at ($stage,$ch)"
+    case r => s"$r at ($stage,$ch)"
   }
 
   /** Commit task (ch, mySeq)'s lineage at `at`. A flush, and an input
@@ -555,7 +567,7 @@ final class Engine(
       } else if (ch.epoch == epoch && workers(ch.worker).alive(sim.now)) {
         val markDone = rec match {
           case FlushRec => true
-          case ReadRec(b) => b + C >= inputBatches(ch.stage).size
+          case ReadRec => batchOf(ch.ch, mySeq + 1) >= inputBatches(ch.stage).size
           case _ => false
         }
         val becameDone = gcs.commit(ch.idx, mySeq, rec, markDone)
@@ -634,11 +646,9 @@ final class Engine(
     * instead of choosing inputs dynamically (paper §IV-C).
     */
   private def tryReplay(ch: ChannelRt): Unit = gcs.rec(ch.idx, ch.seq) match {
-    case rec @ ConsumeRec(us, uc, from, k) =>
-      val mb = ch.mailbox(slot(us, uc))
-      if ((from until from + k).forall(mb.contains)) runConsume(ch, rec)
+    case rec: ConsumeRec => if (availRun(ch, rec.p) >= rec.k) runConsume(ch, rec)
     case FlushRec => runFlush(ch)
-    case ReadRec(_) =>
+    case ReadRec =>
       throw new IllegalStateException("input channels replay via re-read jobs, not the channel")
   }
 

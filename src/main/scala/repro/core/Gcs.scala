@@ -10,10 +10,12 @@ import scala.collection.mutable
   * size charged to the GCS log (the KB-sized-lineage claim).
   */
 sealed trait LineageRec { def byteSize: Int }
-/** Input task: read batch `batch` of its stage's table. */
-final case class ReadRec(batch: Int) extends LineageRec { val byteSize = 16 }
-/** Stateful task: consumed outputs [from, from+k) of upstream (uStage, uCh). */
-final case class ConsumeRec(uStage: Int, uCh: Int, from: Int, k: Int) extends LineageRec {
+/** Input task (c, seq): its name says what it read (`Engine.batchOf`). */
+case object ReadRec extends LineageRec { val byteSize = 16 }
+/** Stateful task: consumed the next `k` outputs of upstream position `p`,
+  * the p-th upstream channel in (upstream, channel) order, from its watermark.
+  */
+final case class ConsumeRec(p: Int, k: Int) extends LineageRec {
   require(k > 0); val byteSize = 20
 }
 /** Aggregation flush task (no inputs; emits the channel's final state). */
@@ -23,9 +25,10 @@ case object FlushRec extends LineageRec { val byteSize = 12 }
   * (Redis on the head node; assumed not to fail, like Spark's driver).
   *
   * Holds the committed lineage log `G.L` as per-channel committed
-  * prefixes (commits are sequential within a channel), the outstanding-task
-  * view, and channel-done markers. `commit` models the single transaction
-  * of Algorithm 1: lineage append + task-queue update together.
+  * prefixes (commits are sequential within a channel), the commits
+  * buffered past a gap in a prefix, and channel-done markers. `commit` is
+  * the single transaction of Algorithm 1; the engine charges it one commit
+  * latency (`CostParams.gcsTxnS`).
   *
   * Channels are named by one dense index, `index(stage, ch)` =
   * `stage * channels + ch`, so every per-channel table is an array and a
@@ -63,10 +66,10 @@ final class Gcs(stages: Int, channels: Int) {
 
   def channelDone(i: Int): Boolean = done(i)
 
-  /** Single transaction: commit lineage of task (i, seq), remove it from
-    * the outstanding set, optionally mark the channel done. Buffered if an
-    * earlier seq of the channel has not committed yet; done-ness only
-    * takes effect once the committed prefix reaches the done-marking task.
+  /** Single transaction: commit lineage of task (i, seq) and optionally
+    * mark the channel done. Buffered if an earlier seq of the channel has
+    * not committed yet; done-ness only takes effect once the committed
+    * prefix reaches the done-marking task.
     * Returns true iff the channel became done by this commit.
     */
   def commit(i: Int, seq: Int, r: LineageRec, markDone: Boolean = false): Boolean = {

@@ -113,6 +113,7 @@ final case class Plan(stages: Vector[Stage], name: String) {
   stages.zipWithIndex.foreach { case (s, i) =>
     require(s.id == i, s"stage ids must be dense: ${s.id} at $i")
     s.upstreams.foreach(u => require(u < s.id, s"upstream $u not before stage ${s.id}"))
+    require(s.upstreams.distinct == s.upstreams, s"stage ${s.id} lists an upstream twice in $name")
   }
   require(stages.last.op.isInstanceOf[AggOp], s"plan $name must end in an aggregation")
   stages.init.foreach(s => require(!s.op.isInstanceOf[AggOp],
@@ -141,13 +142,16 @@ final case class Computed(name: String, ty: ColType, reads: String*)(val f: (R, 
   * and resolved to column indices here, when the plan is built.
   */
 final class PlanBuilder(val name: String) {
-  import PlanBuilder.Pending
-  private val buf = mutable.ArrayBuffer.empty[Pending]
+  private val buf = mutable.ArrayBuffer.empty[Stage]
 
-  def input(table: String, schema: Sch)(fuse: Array[R] => Array[R]): Int = {
-    buf += Pending(InputOp(table, fuse), Vector.empty, schema, null)
+  /** Declare a stage; its `outHash` is set when its consumer is declared. */
+  private def add(op: StageOp, upstreams: Vector[Int], schema: Sch): Int = {
+    buf += Stage(buf.size, op, upstreams, schema, null)
     buf.size - 1
   }
+
+  def input(table: String, schema: Sch)(fuse: Array[R] => Array[R]): Int =
+    add(InputOp(table, fuse), Vector.empty, schema)
 
   /** Input stage that emits the columns `cols` of the rows of `table` that
     * pass `keep`. Each column is the name of a column of the table's schema
@@ -227,32 +231,23 @@ final class PlanBuilder(val name: String) {
       s"join keys ${on._1.mkString(",")} and ${on._2.mkString(",")} differ in length in plan $name")
     val lKey = JoinKey.of(buf(left).schema, on._1, name)
     val rKey = JoinKey.of(buf(right).schema, on._2, name)
-    buf(left).outHash = lKey.hash
-    buf(right).outHash = rKey.hash
-    buf += Pending(JoinOp(lKey, rKey, emit), Vector(left, right), schema, null)
-    buf.size - 1
+    buf(left) = buf(left).copy(outHash = lKey.hash)
+    buf(right) = buf(right).copy(outHash = rKey.hash)
+    add(JoinOp(lKey, rKey, emit), Vector(left, right), schema)
   }
 
   def agg(up: Int, key: R => Vector[Any], nAccs: Int,
           schema: Sch)(update: (Array[Long], R) => Unit)(
           finish: (Vector[Any], Array[Long]) => R): Int = {
     require(buf(up).outHash == null, "a stage can feed only one consumer")
-    buf(up).outHash = key(_).hashCode
-    buf += Pending(AggOp(key, nAccs, update, finish), Vector(up), schema, null)
-    buf.size - 1
+    buf(up) = buf(up).copy(outHash = key(_).hashCode)
+    add(AggOp(key, nAccs, update, finish), Vector(up), schema)
   }
 
-  def build(): Plan =
-    Plan(buf.toVector.zipWithIndex.map { case (p, i) =>
-      Stage(i, p.op, p.upstreams, p.schema, p.outHash)
-    }, name)
+  def build(): Plan = Plan(buf.toVector, name)
 }
 
 object PlanBuilder {
-  /** A declared stage; its `outHash` is set when its consumer is declared. */
-  private final case class Pending(
-    op: StageOp, upstreams: Vector[Int], schema: Sch, var outHash: R => Int)
-
   /** Input kernel that maps the rows passing `keep` through `project`. */
   private[core] def filterProject(keep: R => Boolean, project: R => R): Array[R] => Array[R] =
     batch => {

@@ -28,7 +28,6 @@ import repro.ft.NoFt
 object Recovery {
 
   def plan(e: Engine): Unit = {
-    import e.cfg.cost
     val now = e.sim.now
     if (e.cfg.ft == NoFt)
       throw new IllegalStateException(
@@ -122,12 +121,8 @@ object Recovery {
     val i = e.gcs.index(us, uc)
     e.metrics.rereadJobs += 1
     val stage = e.plan.stages(us)
-    val batchIdx = e.gcs.rec(i, s) match {
-      case ReadRec(b) => b
-      case other => throw new IllegalStateException(s"input lineage of ($us,$uc,$s) is $other")
-    }
-    val (out, cpu) = e.runInput(stage, e.inputBatches(us)(batchIdx))
-    e.checkOutput(us, uc, s, out, "re-read")
+    val (out, cpu) = e.runInput(stage, e.inputBatches(us)(e.batchOf(uc, s)))
+    e.checkOutput(us, uc, s, ReadRec, out, "re-read")
     val slices = e.sliceUp(stage, out)
     val bytes = out.length.toLong * stage.schema.rowBytes
     val cpuEnd = e.workers(worker).cpu.use(e.sim.now, cpu)

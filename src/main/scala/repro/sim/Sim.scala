@@ -1,5 +1,7 @@
 package repro.sim
 
+import scala.annotation.nowarn
+
 /** Deterministic discrete-event simulator.
   *
   * Events are (time, insertion-seq) ordered, so runs are exactly
@@ -28,7 +30,8 @@ final class Sim {
       seqs = java.util.Arrays.copyOf(seqs, size * 2)
       thunks = java.util.Arrays.copyOf(thunks, size * 2)
     }
-    siftUp(math.max(t, now), seq, f _) // `f _` is the by-name thunk itself, not a new closure
+    // `f _` is the by-name thunk itself; `() => f` would allocate a closure per event
+    siftUp(math.max(t, now), seq, (f _): @nowarn("cat=deprecation"))
     size += 1
     seq += 1
   }

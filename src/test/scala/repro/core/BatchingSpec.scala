@@ -25,7 +25,7 @@ class BatchingSpec extends AnyFunSuite {
     val agg = e.channels(1)(0)
     val p = e.slot(0, 0)
     def output(seq: Int): Unit = {
-      e.gcs.commit(up, seq, ReadRec(seq))
+      e.gcs.commit(up, seq, ReadRec)
       agg.arrive(p, seq, Array[R](Array[Any](seq.toLong, 1L)))
     }
     def launch(): Unit = { e.poke(agg); e.sim.run() }
@@ -37,7 +37,7 @@ class BatchingSpec extends AnyFunSuite {
     output(3)
     launch()
     assert(e.metrics.tasks == 1 && agg.consumed(p) == 4)
-    assert(e.gcs.rec(agg.idx, 0) == ConsumeRec(0, 0, 0, 4))
+    assert(e.gcs.rec(agg.idx, 0) == ConsumeRec(0, 4))
 
     output(4)
     output(5)
@@ -46,7 +46,7 @@ class BatchingSpec extends AnyFunSuite {
 
     assert(e.gcs.markDone(up))
     launch() // the remainder, then the flush
-    assert(e.gcs.rec(agg.idx, 1) == ConsumeRec(0, 0, 4, 2))
+    assert(e.gcs.rec(agg.idx, 1) == ConsumeRec(0, 2))
     assert(e.gcs.rec(agg.idx, 2) == FlushRec && e.metrics.tasks == 3)
   }
 }

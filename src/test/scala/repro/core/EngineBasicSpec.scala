@@ -105,8 +105,13 @@ class EngineBasicSpec extends SparkSpec {
       e.run()
       for (c <- 0 until w) {
         val i = e.gcs.index(0, c)
+        val batches = (c until 5 by w).map(b => data("a").slice(2 * b, 2 * b + 2).toSeq)
         val log = (0 until e.gcs.committedCount(i)).map(e.gcs.rec(i, _))
-        assert(log == (c until 5 by w).map(ReadRec), s"workers=$w channel $c")
+        assert(log == batches.map(_ => ReadRec), s"workers=$w channel $c")
+        // the backed-up output of task (c, s) holds the rows of batch s * C + c
+        for ((batch, s) <- batches.zipWithIndex)
+          assert(TestUtil.canon(e.copies(i)(s).slices.flatten.toSeq) == TestUtil.canon(batch),
+            s"workers=$w channel $c seq $s")
         assert(e.gcs.channelDone(i), s"workers=$w channel $c not done")
       }
     }

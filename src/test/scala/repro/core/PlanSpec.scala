@@ -49,6 +49,15 @@ class PlanSpec extends AnyFunSuite {
     assert(e.getMessage.contains("stage 0 feeds 2 consumers"))
   }
 
+  test("a stage that lists one upstream twice is rejected, naming the stage") {
+    val b = new PlanBuilder("dup")
+    val s = b.input("a", sch)(identity)
+    val j = b.join(s, s, Seq("k") -> Seq("k"), sch)((l, _) => l)
+    mkAgg(b, j)
+    val e = intercept[IllegalArgumentException](b.build())
+    assert(e.getMessage.contains(s"stage $j lists an upstream twice"), e.getMessage)
+  }
+
   test("plans must end in an aggregation") {
     val b = new PlanBuilder("t")
     val s0 = b.input("a", sch)(identity)

@@ -1,7 +1,7 @@
 package repro.queries
 
 import repro.{Oracle, SparkSpec, TestUtil}
-import repro.baselines.{EngineRunner, SparkSqlRunner, Systems}
+import repro.baselines.{EngineRunner, SparkSqlRunner}
 import repro.core._
 
 /** The correctness matrix: every TPC-H-lite query is executed by (a) the
